@@ -30,37 +30,27 @@
 //! roughly one ladder step of visual quality across the safe range
 //! `[0, B_safe]`.
 
+use crate::plan::{self, ChunkRows, MAX_BUFFER_S, RISK_AVERSION, RTT_S};
 use crate::predictor::ThroughputPredictor;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
 
-/// Reusable per-decision scratch (see the MPC family's scratch pattern).
-#[derive(Debug, Clone, Default)]
-struct IndexScratch {
-    /// Scenario `(probability, kbps)` pairs.
-    rates: Vec<(f64, f64)>,
-    /// Per-level chunk size in bits at the next chunk.
-    sizes: Vec<f64>,
-    /// Per-level visual quality at the next chunk.
-    vqs: Vec<f64>,
-}
-
-/// The DAS-IP index policy.
+/// The DAS-IP index policy. Its RTT, buffer cap and stall risk multiplier
+/// are the MPC family's, so the two control families price rebuffering
+/// identically.
 #[derive(Debug, Clone)]
 pub struct DasIp {
     predictor: ThroughputPredictor,
     qoe: Ksqi,
-    rtt_s: f64,
-    max_buffer_s: f64,
-    /// Stall multiplier during scoring, kept equal to the MPC family's so
-    /// the two control families price rebuffering identically.
-    risk_aversion: f64,
     /// `κ`: weight of the buffer subsidy against KSQI quality units.
     safety_weight: f64,
     /// `B_safe`: buffer level (seconds) past which more headroom earns no
     /// further subsidy.
     safe_buffer_s: f64,
-    scratch: IndexScratch,
+    /// The next chunk's per-level size/vq row.
+    row: ChunkRows,
+    /// Scenario `(probability, kbps)` pairs.
+    rates: Vec<(f64, f64)>,
 }
 
 impl DasIp {
@@ -69,70 +59,33 @@ impl DasIp {
         Self {
             predictor: ThroughputPredictor::default(),
             qoe: Ksqi::canonical(),
-            rtt_s: 0.08,
-            max_buffer_s: 24.0,
-            risk_aversion: 3.0,
             safety_weight: 1.5,
             safe_buffer_s: 12.0,
-            scratch: IndexScratch::default(),
-        }
-    }
-
-    /// Overrides the throughput predictor.
-    pub fn with_predictor(mut self, predictor: ThroughputPredictor) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
-    /// Overrides the QoE model the index scores against.
-    pub fn with_qoe(mut self, qoe: Ksqi) -> Self {
-        self.qoe = qoe;
-        self
-    }
-
-    /// Fills the per-level size/vq row for `next_chunk`. The row is
-    /// lane-invariant, so the batched entry point fills it once per chunk
-    /// step for the whole tile.
-    fn fill_chunk_row(&mut self, next_chunk: usize, ctx: &SessionContext<'_>) {
-        let n_levels = ctx.num_levels();
-        self.scratch.sizes.clear();
-        self.scratch.vqs.clear();
-        for level in 0..n_levels {
-            self.scratch.sizes.push(
-                ctx.encoded
-                    .size_bits(next_chunk, level)
-                    .expect("next chunk in range"),
-            );
-            self.scratch.vqs.push(ctx.vq[next_chunk][level]);
+            row: ChunkRows::default(),
+            rates: Vec::new(),
         }
     }
 
     /// Computes every level's index and returns the argmax (first winner
     /// on ties, matching the MPC family's strictly-greater updates),
-    /// assuming [`Self::fill_chunk_row`] has run for `state.next_chunk`.
+    /// assuming `row` holds `state.next_chunk`'s size/vq row (filled once
+    /// per chunk step: it is lane-invariant).
     fn decide_prepared(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        let IndexScratch { rates, sizes, vqs } = &mut self.scratch;
-        self.predictor.scenario_rates_into(state, rates);
+        self.predictor.scenario_rates_into(state, &mut self.rates);
         let d = ctx.chunk_duration_s;
         let prev = state
             .last_level
             .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
         let mut best_level = 0usize;
         let mut best_index = f64::NEG_INFINITY;
-        for (level, (&size, &vq)) in sizes.iter().zip(vqs.iter()).enumerate() {
-            let switch = match prev {
-                Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                _ => 0.0,
-            };
+        for (level, (&size, &vq)) in self.row.sizes.iter().zip(&self.row.vqs).enumerate() {
+            let switch = plan::switch_penalty(prev, vq, level);
             let mut index = 0.0;
-            for &(p, rate_kbps) in rates.iter() {
-                let dt = self.rtt_s + size / (rate_kbps * 1000.0);
+            for &(p, rate_kbps) in &self.rates {
+                let dt = RTT_S + size / (rate_kbps * 1000.0);
                 let stall = (dt - state.buffer_s).max(0.0);
-                let mut buf = (state.buffer_s - dt).max(0.0) + d;
-                buf = buf.min(self.max_buffer_s);
-                let q = self
-                    .qoe
-                    .chunk_quality(vq, stall * self.risk_aversion, switch, d);
+                let buf = ((state.buffer_s - dt).max(0.0) + d).min(MAX_BUFFER_S);
+                let q = self.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
                 let subsidy =
                     self.safety_weight * (buf.min(self.safe_buffer_s) / self.safe_buffer_s);
                 index += p * (q + subsidy);
@@ -161,7 +114,7 @@ impl AbrPolicy for DasIp {
         if state.next_chunk >= ctx.num_chunks() {
             return Decision::level(0);
         }
-        self.fill_chunk_row(state.next_chunk, ctx);
+        self.row.fill(ctx, state.next_chunk, 1, None);
         self.decide_prepared(state, ctx)
     }
 
@@ -181,7 +134,7 @@ impl AbrPolicy for DasIp {
             }
             return;
         }
-        self.fill_chunk_row(states.next_chunk(), ctx);
+        self.row.fill(ctx, states.next_chunk(), 1, None);
         for (i, slot) in out.iter_mut().enumerate().take(states.len()) {
             let state = states.state(i);
             *slot = self.decide_prepared(&state, ctx);

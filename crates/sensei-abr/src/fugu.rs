@@ -8,144 +8,79 @@
 //! vector maximizing the expected total quality", where per-chunk quality
 //! `q(b, t)` is a simplified KSQI.
 //!
-//! This module implements exactly that: exhaustive enumeration of bitrate
-//! plans over the horizon, a per-scenario buffer walk, and the canonical
-//! KSQI chunk quality. Five structural optimizations keep the enumeration
-//! fast without changing a single result bit (asserted against a flat
-//! reference odometer in this module's tests and the warm-vs-cold parity
-//! suite):
-//!
-//! 1. **Prefix sharing** — plans are enumerated as a depth-first tree so
-//!    every shared prefix is scored once (an ~h-fold cut).
-//! 2. **Hoisted tables** — the per-(chunk, level, scenario) download time
-//!    `rtt + size/rate` and the per-(chunk, level) size/vq lookups are
-//!    state-independent within one decision, so they are computed once
-//!    into reusable scratch instead of once per tree node.
-//! 3. **Exact branch-and-bound with guided order** — subtrees are
-//!    explored most-promising-first and skipped when a floating-point-
-//!    monotone upper bound on every leaf they contain shows they cannot
-//!    change the result. The update rule tracks exactly the pair the
-//!    lexicographic reference returns — the maximum score and the
-//!    smallest first action attaining it — so neither the visit order
-//!    nor the pruning can move a single result bit.
-//! 4. **Cross-chunk warm starts** — consecutive decisions solve almost
-//!    the same problem shifted by one chunk, so the shifted suffix of
-//!    step *t*'s winning plan is a feasible leaf of step *t+1*'s tree.
-//!    It is scored first with the exact leaf arithmetic and seeds the
-//!    incumbent, so the very first `descend` already prunes against a
-//!    near-optimal bound. Seeding is indistinguishable from the search
-//!    having visited that leaf first: the tie machinery (`==` wins only
-//!    with a smaller first action) guarantees the lexicographic winner
-//!    is still reached even when the seed's first action is larger.
-//! 5. **Block leaf scoring** — the `n_levels` sibling leaves under one
-//!    parent share everything but the level, so they are scored as one
-//!    straight-line pass over dense per-scenario slices (shaped for the
-//!    autovectorizer) and then reduced in the exact visit order, each
-//!    element computing precisely one reference walk step.
+//! This module is that objective as the *scenario walk* of the shared plan
+//! search ([`crate::plan`], which documents the search and why it is
+//! exact): every plan prefix carries one buffer walk per predicted
+//! throughput scenario (`(h + 1) × S` rows), download times come from a
+//! per-decision `(chunk, level, scenario)` table, a leaf scores the
+//! probability-weighted fold of its scenario totals, and the sibling
+//! leaves under one parent are scored in one dense per-scenario pass. Its
+//! bound charges each scenario a stall lower bound from a buffer-cap
+//! recurrence. SENSEI-Fugu (Eq. 4) runs the same walk with sensitivity
+//! weights and a pause-perturbed buffer.
 
+use crate::plan::{self, Best, ChunkRows, Kernel, Walk, MAX_BUFFER_S, RISK_AVERSION, RTT_S};
 use crate::predictor::ThroughputPredictor;
-use crate::WarmSlot;
+use crate::WarmLanes;
 use sensei_qoe::Ksqi;
 use sensei_sim::{AbrPolicy, BatchStates, Decision, PlayerState, SessionContext};
-use sensei_telemetry as telemetry;
 use sensei_trace::ThroughputTrace;
+use sensei_video::SensitivityWeights;
 
 /// The paper's planning horizon ("We pick h = 5 since we observe that QoE
 /// gains flatten beyond a horizon of 4 chunks").
 pub const DEFAULT_HORIZON: usize = 5;
 
-/// Reusable planning scratch: one allocation per policy instance instead
-/// of several per decision. All tables are flat row-major arrays sized at
-/// the start of each plan search.
+/// Reusable scenario-walk scratch: one allocation per policy instance
+/// instead of several per decision. All tables are flat row-major arrays.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PlanScratch {
+struct PlanScratch {
+    /// The horizon's manifest rows and weight window (per chunk step).
+    rows: ChunkRows,
     /// `(h + 1) × scenarios` rows of running walk state, indexed by depth.
-    stack: Vec<ScenarioWalk>,
+    stack: Vec<Row>,
     /// Per-decision scenario `(probability, kbps)` pairs.
     rates: Vec<(f64, f64)>,
+    /// The scenario probabilities `rates[si].0`, densely packed.
+    probs: Vec<f64>,
     /// `dt[depth·L·S + level·S + si]`: download time of `(chunk, level)`
     /// under scenario `si` — state-independent within one decision.
     dt: Vec<f64>,
-    /// `sizes[depth·L + level]`: chunk size in bits.
-    sizes: Vec<f64>,
-    /// `vqs[depth·L + level]`: visual quality.
-    vqs: Vec<f64>,
     /// `umax[depth·S + si]`: upper bound on the weighted quality any
     /// level can contribute at `depth` under scenario `si`, maximized
     /// over every (previous level, level) pair — switch penalty and
-    /// stall lower bound included (branch-and-bound).
+    /// stall lower bound included.
     umax: Vec<f64>,
     /// `ufirst[(depth·S + si)·L + lprev]`: the same bound conditioned on
     /// the *actual* previous level `lprev`, used for the first remaining
     /// step of a node (whose last chosen level the search knows).
     ufirst: Vec<f64>,
-    /// `ufirst0[depth·L + lprev]`: the no-stall (buffer-independent)
-    /// value of `ufirst`, filled lazily once per chunk step and shared by
-    /// every lane and pause candidate of that step — valid because every
-    /// `plan_prepared` call between two `fill_chunk_tables` calls uses
-    /// the same vq tables, weights, and chunk duration. Rows of `ufirst`
-    /// whose buffer cap proves no level can stall copy from here (the
-    /// stall lower bound is exactly `0.0` there, so the copied values
-    /// are bit-identical to recomputation).
+    /// The no-stall (buffer-independent) `ufirst`/`umax` tables, filled
+    /// lazily once per chunk step and shared by every lane and pause
+    /// candidate of that step. Rows of `ufirst` whose buffer cap proves
+    /// no level can stall copy from here (the stall lower bound is
+    /// exactly `0.0` there, so the copy is bit-identical).
     ufirst0: Vec<f64>,
-    /// `umax0[depth]`: the no-stall value of `umax` (see `ufirst0`).
     umax0: Vec<f64>,
     /// `caps[depth·S + si]`: upper bound on scenario `si`'s buffer
-    /// entering `depth`, accounting for the cheapest possible download
-    /// at every prior depth (branch-and-bound).
+    /// entering `depth`, charging the cheapest possible download at every
+    /// prior depth.
     caps: Vec<f64>,
-    /// `ord[depth·L + k]`: the levels of `depth` in descending
-    /// estimated-score order — the exploration order of the pruned
-    /// search. Any order yields identical results (see
-    /// [`PlanSearch::descend`]); a good first guess raises `best_q`
-    /// early so later subtrees prune at the root.
-    ord: Vec<usize>,
-    /// Per-level expected score accumulator used to build `ord`.
-    scores: Vec<f64>,
-    /// Scenario probabilities `rates[si].0`, densely packed for the
-    /// straight-line leaf pass.
-    probs: Vec<f64>,
-    /// Dense per-scenario copy of the leaf-parent row's buffers.
+    /// Dense per-scenario copies of the leaf-parent row's buffers and
+    /// running totals, and one sibling leaf's per-scenario terms.
     pbuf: Vec<f64>,
-    /// Dense per-scenario copy of the leaf-parent row's running totals.
     ptot: Vec<f64>,
-    /// Per-scenario expected-score terms of one sibling leaf.
     terms: Vec<f64>,
-    /// `leaf_q[level]`: each sibling leaf's expected score at the last
-    /// depth, produced by the block scorer and consumed in visit order.
-    leaf_q: Vec<f64>,
-    /// The DFS path (one level per depth) above the current node.
-    cur_plan: Vec<usize>,
-    /// The full winning plan of the last search (its first element is the
-    /// returned `best_plan0`) — the next chunk step's warm-start seed.
-    last_plan: Vec<usize>,
-    /// Warm-start seed scratch (shifted suffix of the previous plan).
-    seed: Vec<usize>,
 }
 
 /// The Fugu MPC policy.
 #[derive(Debug, Clone)]
 pub struct Fugu {
     predictor: ThroughputPredictor,
-    qoe: Ksqi,
-    horizon: usize,
-    rtt_s: f64,
-    max_buffer_s: f64,
-    /// Multiplier on predicted stall time during planning. Deployed MPC
-    /// controllers weight rebuffering far above its average-QoE cost
-    /// because real raters judge sessions by their worst moment; planning
-    /// risk-neutrally against a mean-additive model stalls too often.
-    risk_aversion: f64,
+    pub(crate) qoe: Ksqi,
     scratch: PlanScratch,
-    /// Cross-chunk warm-start carry for the scalar lifecycle (the batched
-    /// path swaps per-lane slots through here).
-    warm: WarmSlot,
-    /// Per-lane warm-start carries for [`AbrPolicy::select_batch`].
-    lane_warm: Vec<WarmSlot>,
-    /// When false, searches never seed from or commit to the carry slots
-    /// — the "cold" reference mode the warm-vs-cold parity suite compares
-    /// against.
-    warm_start_enabled: bool,
+    pub(crate) kernel: Kernel,
+    pub(crate) warm: WarmLanes,
 }
 
 impl Fugu {
@@ -154,14 +89,9 @@ impl Fugu {
         Self {
             predictor: ThroughputPredictor::default(),
             qoe: Ksqi::canonical(),
-            horizon: DEFAULT_HORIZON,
-            rtt_s: 0.08,
-            max_buffer_s: 24.0,
-            risk_aversion: 3.0,
             scratch: PlanScratch::default(),
-            warm: WarmSlot::default(),
-            lane_warm: Vec::new(),
-            warm_start_enabled: true,
+            kernel: Kernel::default(),
+            warm: WarmLanes::default(),
         }
     }
 
@@ -170,157 +100,28 @@ impl Fugu {
     /// nodes — which is exactly what the warm-vs-cold parity suite runs
     /// as its reference.
     pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start_enabled = enabled;
-        if !enabled {
-            self.warm.invalidate();
-            self.lane_warm.clear();
-        }
+        self.warm.set_enabled(enabled);
         self
     }
 
-    /// The full winning plan of the last [`Self::plan_prepared`] call.
-    /// SENSEI-Fugu reads this per pause candidate to remember the winning
-    /// candidate's plan.
-    pub(crate) fn last_plan(&self) -> &[usize] {
-        &self.scratch.last_plan
-    }
-
-    /// Commits the last search's winning plan as the warm-start carry for
-    /// the chunk step after `next_chunk`. No-op in cold mode.
-    pub(crate) fn commit_warm_from_last(&mut self, next_chunk: usize) {
-        if self.warm_start_enabled {
-            self.warm.commit(next_chunk, &self.scratch.last_plan);
-        }
-    }
-
-    /// Commits an explicit winning plan (SENSEI-Fugu commits the winning
-    /// pause candidate's plan, which is not necessarily the last plan
-    /// searched). No-op in cold mode.
-    pub(crate) fn commit_warm_plan(&mut self, next_chunk: usize, plan: &[usize]) {
-        if self.warm_start_enabled {
-            self.warm.commit(next_chunk, plan);
-        }
-    }
-
-    /// The scalar-lifecycle warm slot — wrappers that keep per-lane carry
-    /// state (SENSEI-Fugu) swap their lane slots through here around each
-    /// prepared search, mirroring the pause-ledger swap.
-    pub(crate) fn warm_slot_mut(&mut self) -> &mut WarmSlot {
-        &mut self.warm
-    }
-
-    /// Overrides the stall risk-aversion multiplier used during planning.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `factor` is not at least 1 (planning must never treat
-    /// stalls as cheaper than the QoE model does).
-    pub fn with_risk_aversion(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "risk aversion must be >= 1, got {factor}");
-        self.risk_aversion = factor;
-        self
-    }
-
-    /// The stall risk-aversion multiplier in effect.
-    pub fn risk_aversion(&self) -> f64 {
-        self.risk_aversion
-    }
-
-    /// Overrides the throughput predictor (window and scenario set).
-    pub fn with_predictor(mut self, predictor: ThroughputPredictor) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
-    /// The throughput predictor in effect.
-    pub fn predictor(&self) -> &ThroughputPredictor {
-        &self.predictor
-    }
-
-    /// Overrides the QoE model used as the objective (the paper fits KSQI
-    /// for fairness across all algorithms).
-    pub fn with_qoe(mut self, qoe: Ksqi) -> Self {
-        self.qoe = qoe;
-        self
-    }
-
-    /// Overrides the planning horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `horizon` is 0 (configuration bug).
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        assert!(horizon > 0, "horizon must be at least 1");
-        self.horizon = horizon;
-        self
-    }
-
-    /// The effective horizon at `next_chunk` (truncated at the video end).
-    fn effective_horizon(&self, next_chunk: usize, ctx: &SessionContext<'_>) -> usize {
-        self.horizon.min(ctx.num_chunks() - next_chunk)
-    }
-
-    /// Fills the per-(depth, level) size/vq lookup tables for the horizon
-    /// starting at `next_chunk`. These are pure manifest lookups shared by
-    /// every lane of a batch at the same chunk step, so the batched entry
-    /// point fills them once per chunk instead of once per lane.
-    pub(crate) fn fill_chunk_tables(
+    /// Fills the chunk-step tables for the horizon at `next_chunk` — the
+    /// manifest rows and the weight window (`None` plans unweighted) —
+    /// and returns the effective horizon: 0 at the video end, where
+    /// nothing is filled.
+    pub(crate) fn prepare(
         &mut self,
         next_chunk: usize,
-        h: usize,
         ctx: &SessionContext<'_>,
-    ) {
-        let n_levels = ctx.num_levels();
-        self.scratch.sizes.clear();
-        self.scratch.vqs.clear();
-        // The vq tables (and, at the callers' next step, the weight
-        // window) change with the chunk position, so the hoisted no-stall
-        // bound table is invalidated here and lazily refilled by the
-        // first prunable search of the new step.
-        self.scratch.ufirst0.clear();
-        self.scratch.umax0.clear();
-        for depth in 0..h {
-            let chunk = next_chunk + depth;
-            for level in 0..n_levels {
-                self.scratch.sizes.push(
-                    ctx.encoded
-                        .size_bits(chunk, level)
-                        .expect("plan stays in range"),
-                );
-                self.scratch.vqs.push(ctx.vq[chunk][level]);
-            }
+        weights: Option<&SensitivityWeights>,
+    ) -> usize {
+        let h = DEFAULT_HORIZON.min(ctx.num_chunks() - next_chunk);
+        if h > 0 {
+            self.scratch.rows.fill(ctx, next_chunk, h, weights);
+            // The no-stall bound tables read the rows just filled; the
+            // step's first prunable search refills them.
+            self.scratch.ufirst0.clear();
         }
-    }
-
-    /// Enumerates all plans over the effective horizon; returns the best
-    /// plan's first action and its expected quality.
-    ///
-    /// The enumeration runs as a depth-first walk over the plan *tree*
-    /// rather than a flat odometer over the `levels^h` plan list: the
-    /// `levels^(j+1)` plans sharing a length-`j+1` prefix share that
-    /// prefix's buffer walk, so each prefix is scored **once** instead of
-    /// once per completion — `Σ_j levels^j ≈ levels^h · levels/(levels−1)`
-    /// chunk evaluations instead of `levels^h · h`, an ~`h`-fold cut at
-    /// the paper's horizon. Subtrees are explored in a guided order and
-    /// skipped under the exact bound of [`PlanSearch::descend`], whose
-    /// update rule reproduces the flat odometer's winner, score, and
-    /// tie-breaks bit for bit (asserted against a reference odometer in
-    /// this module's tests).
-    pub(crate) fn best_plan(
-        &mut self,
-        state: &PlayerState<'_>,
-        ctx: &SessionContext<'_>,
-        weights: Option<&[f64]>,
-    ) -> (usize, f64) {
-        let h = self.effective_horizon(state.next_chunk, ctx);
-        if h == 0 {
-            return (0, 0.0);
-        }
-        self.fill_chunk_tables(state.next_chunk, h, ctx);
-        self.prepare_rates(state, ctx, h);
-        let result = self.plan_prepared(state, ctx, weights, h);
-        self.commit_warm_from_last(state.next_chunk);
-        result
+        h
     }
 
     /// Fills the scenario `(probability, kbps)` pairs and the
@@ -328,103 +129,67 @@ impl Fugu {
     /// Both depend on the throughput history but **not** on the buffer,
     /// so SENSEI-Fugu's pause candidates — which perturb only the buffer
     /// — share one fill across all candidate searches.
-    pub(crate) fn prepare_rates(
-        &mut self,
-        state: &PlayerState<'_>,
-        ctx: &SessionContext<'_>,
-        h: usize,
-    ) {
-        let n_levels = ctx.num_levels();
+    pub(crate) fn prepare_rates(&mut self, state: &PlayerState<'_>) {
         let PlanScratch {
-            rates, dt, sizes, ..
+            rows,
+            rates,
+            probs,
+            dt,
+            ..
         } = &mut self.scratch;
         self.predictor.scenario_rates_into(state, rates);
-        // Download time is a pure function of (chunk, level, scenario)
-        // within one decision — hoist it out of the tree walk. The
-        // expression is the exact one the walk used to evaluate per node.
+        probs.clear();
+        probs.extend(rates.iter().map(|r| r.0));
         dt.clear();
-        for depth in 0..h {
-            for level in 0..n_levels {
-                let size = sizes[depth * n_levels + level];
-                for &(_, rate_kbps) in rates.iter() {
-                    dt.push(self.rtt_s + size / (rate_kbps * 1000.0));
-                }
+        for &size in &rows.sizes {
+            for &(_, rate_kbps) in rates.iter() {
+                dt.push(RTT_S + size / (rate_kbps * 1000.0));
             }
         }
     }
 
-    /// The plan search proper, assuming [`Self::fill_chunk_tables`] and
-    /// [`Self::prepare_rates`] have run for `(state.next_chunk, h)`.
+    /// The plan search proper, over the tables [`Self::prepare`] and
+    /// [`Self::prepare_rates`] filled; [`Kernel::best_plan`] holds the
+    /// winner's full plan afterwards.
     pub(crate) fn plan_prepared(
         &mut self,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
-        weights: Option<&[f64]>,
-        h: usize,
-    ) -> (usize, f64) {
+    ) -> Best {
         let n_levels = ctx.num_levels();
         let d = ctx.chunk_duration_s;
-        // Warm start: the shifted suffix of the previous chunk step's
-        // winning plan, when this search is its immediate successor. The
-        // seed is scored below with the exact leaf arithmetic before the
-        // tree walk begins, so seeding is result-invariant (module docs,
-        // optimization 4).
-        let seeded = self.warm_start_enabled
-            && self
-                .warm
-                .seed_into(state.next_chunk, h, n_levels, &mut self.scratch.seed);
         let PlanScratch {
+            rows,
             stack,
-            rates,
+            probs,
             dt,
-            sizes: _,
-            vqs,
             umax,
             ufirst,
             ufirst0,
             umax0,
             caps,
-            ord,
-            scores,
-            probs,
             pbuf,
             ptot,
             terms,
-            leaf_q,
-            cur_plan,
-            last_plan,
-            seed,
+            ..
         } = &mut self.scratch;
-        let s = rates.len();
-        // Branch-and-bound is sound only when every bound step is
-        // floating-point monotone: nonnegative plan weights, scenario
-        // probabilities, and QoE penalties. Anything else disables
-        // pruning (full enumeration) rather than risking a changed bit.
-        let (_, b, c, _) = self.qoe.coefficients();
-        let prunable = b >= 0.0
-            && c >= 0.0
+        let h = rows.weights.len();
+        let s = probs.len();
+        let prunable = plan::monotone(&self.qoe, &rows.weights)
             && state.buffer_s >= 0.0
-            && weights.is_none_or(|w| w.iter().all(|&x| x >= 0.0))
-            && rates.iter().all(|r| r.0 >= 0.0);
-        umax.clear();
-        ufirst.clear();
-        caps.clear();
-        ord.clear();
+            && probs.iter().all(|&p| p >= 0.0);
         if prunable {
             // `caps[j·S + si]` dominates scenario `si`'s buffer entering
             // depth `j` for EVERY plan: the walk step is
             // `buf' = min(max(buf − dt, 0) + d, B)`, `dt` is bounded
             // below by the depth's cheapest level under that scenario,
-            // and each operation in the chain (subtract a smaller value
-            // from a larger one, `max`, add, `min`) is monotone under
-            // IEEE-754 round-to-nearest — so the recurrence bounds all
-            // plans at once *as floating point*. The root cap is the
-            // caller's buffer itself (pause candidates may push it past
-            // the clamp). A buffer upper bound gives a stall *lower*
-            // bound, hence a per-(depth, scenario) quality upper bound;
-            // charging the cheapest download per depth is what makes the
-            // bound bite on constrained links instead of assuming a
-            // magically refilling buffer.
+            // and each operation in the chain is monotone under IEEE-754
+            // round-to-nearest — so the recurrence bounds all plans at
+            // once *as floating point*. The root cap is the caller's
+            // buffer itself (pause candidates may push it past the
+            // clamp). A buffer upper bound gives a stall *lower* bound,
+            // hence a per-(depth, scenario) quality upper bound.
+            caps.clear();
             caps.resize(s, state.buffer_s);
             for depth in 1..h {
                 for si in 0..s {
@@ -433,216 +198,90 @@ impl Fugu {
                         dt_min = dt_min.min(dt[((depth - 1) * n_levels + level) * s + si]);
                     }
                     let parent = caps[(depth - 1) * s + si];
-                    caps.push(((parent - dt_min).max(0.0) + d).min(self.max_buffer_s));
+                    caps.push(((parent - dt_min).max(0.0) + d).min(MAX_BUFFER_S));
                 }
             }
-            for depth in 0..h {
-                scores.clear();
-                scores.resize(n_levels, 0.0);
+            // Guided order: most promising level (by expected
+            // stall-bounded score) first.
+            self.kernel.order_by(h, n_levels, |depth, level| {
+                let vq = rows.vqs[depth * n_levels + level];
+                let mut score = 0.0;
                 for si in 0..s {
-                    let cap = caps[depth * s + si];
-                    let p = rates[si].0;
-                    for level in 0..n_levels {
-                        let stall_lb = (dt[(depth * n_levels + level) * s + si] - cap).max(0.0);
-                        let q = self.qoe.chunk_quality(
-                            vqs[depth * n_levels + level],
-                            stall_lb * self.risk_aversion,
-                            0.0,
-                            d,
-                        );
-                        let term = weights.map_or(q, |w| w[depth] * q);
-                        scores[level] += p * term;
-                    }
+                    let stall_lb =
+                        (dt[(depth * n_levels + level) * s + si] - caps[depth * s + si]).max(0.0);
+                    let q = self.qoe.chunk_quality(vq, stall_lb * RISK_AVERSION, 0.0, d);
+                    score += probs[si] * (rows.weights[depth] * q);
                 }
-                // Guided order: most promising level (by expected
-                // stall-bounded score) first. Purely a search-speed
-                // heuristic — the update rule in `descend` makes the
-                // search result order-invariant.
-                let base = ord.len();
-                ord.extend(0..n_levels);
-                ord[base..].sort_by(|&a, &b| {
-                    scores[b]
-                        .partial_cmp(&scores[a])
-                        .unwrap_or(core::cmp::Ordering::Equal)
-                });
-            }
-            // Switch-aware per-depth bounds. `ufirst` conditions the
-            // bound's *first* remaining step on the node's actual previous
-            // level (the search knows it exactly, so the switch penalty is
-            // the exact one the walk will charge); `umax` relaxes deeper
-            // steps over every (previous level, level) pair. Each entry
-            // dominates the walk's corresponding per-step term as floating
-            // point: the stall lower bound comes from the buffer cap above,
-            // and `chunk_quality` is FP-monotone in both penalties. Depth 0
-            // rows stay at the placeholder (the bound is only evaluated at
-            // depth ≥ 1, where the previous level is on the DFS path).
+                score
+            });
+            // Switch-aware per-depth bounds with each scenario's stall
+            // lower bound from its buffer cap.
             if ufirst0.is_empty() {
-                // The no-stall table is buffer-independent, so it serves
-                // every lane and pause candidate of this chunk step
-                // (`fill_chunk_tables` invalidates it when the vq tables
-                // or weight window move).
-                ufirst0.resize(h * n_levels, 0.0);
-                umax0.resize(h, 0.0);
-                for depth in 1..h {
-                    let mut overall = f64::NEG_INFINITY;
-                    for lprev in 0..n_levels {
-                        let pvq = vqs[(depth - 1) * n_levels + lprev];
-                        let mut best = f64::NEG_INFINITY;
-                        for level in 0..n_levels {
-                            let vq = vqs[depth * n_levels + level];
-                            let switch = if level != lprev {
-                                (vq - pvq).abs()
-                            } else {
-                                0.0
-                            };
-                            let q = self.qoe.chunk_quality(vq, 0.0, switch, d);
-                            let term = weights.map_or(q, |w| w[depth] * q);
-                            if term > best {
-                                best = term;
-                            }
-                        }
-                        ufirst0[depth * n_levels + lprev] = best;
-                        if best > overall {
-                            overall = best;
-                        }
-                    }
-                    umax0[depth] = overall;
-                }
+                plan::fill_no_stall_bounds(&self.qoe, rows, d, ufirst0, umax0);
             }
+            ufirst.clear();
             ufirst.resize(h * s * n_levels, 0.0);
+            umax.clear();
             umax.resize(h * s, 0.0);
             for depth in 1..h {
                 for si in 0..s {
                     let cap = caps[depth * s + si];
-                    let mut dt_max = f64::NEG_INFINITY;
-                    for level in 0..n_levels {
-                        dt_max = dt_max.max(dt[(depth * n_levels + level) * s + si]);
-                    }
+                    let dt_at = |level: usize| dt[(depth * n_levels + level) * s + si];
                     let row = (depth * s + si) * n_levels;
-                    if dt_max <= cap {
+                    let row = &mut ufirst[row..row + n_levels];
+                    if (0..n_levels).all(|level| dt_at(level) <= cap) {
                         // No level can stall under this scenario's cap:
-                        // every `stall_lb` below would be exactly `0.0`,
-                        // so the hoisted no-stall row IS this row.
-                        ufirst[row..row + n_levels]
-                            .copy_from_slice(&ufirst0[depth * n_levels..(depth + 1) * n_levels]);
+                        // the hoisted no-stall row IS this row.
+                        row.copy_from_slice(&ufirst0[depth * n_levels..(depth + 1) * n_levels]);
                         umax[depth * s + si] = umax0[depth];
-                        continue;
+                    } else {
+                        let stall_lb = |level: usize| (dt_at(level) - cap).max(0.0);
+                        umax[depth * s + si] =
+                            plan::switch_bound_row(&self.qoe, rows, depth, d, stall_lb, row);
                     }
-                    let mut overall = f64::NEG_INFINITY;
-                    for lprev in 0..n_levels {
-                        let pvq = vqs[(depth - 1) * n_levels + lprev];
-                        let mut best = f64::NEG_INFINITY;
-                        for level in 0..n_levels {
-                            let vq = vqs[depth * n_levels + level];
-                            let stall_lb = (dt[(depth * n_levels + level) * s + si] - cap).max(0.0);
-                            let switch = if level != lprev {
-                                (vq - pvq).abs()
-                            } else {
-                                0.0
-                            };
-                            let q = self.qoe.chunk_quality(
-                                vq,
-                                stall_lb * self.risk_aversion,
-                                switch,
-                                d,
-                            );
-                            let term = weights.map_or(q, |w| w[depth] * q);
-                            if term > best {
-                                best = term;
-                            }
-                        }
-                        ufirst[row + lprev] = best;
-                        if best > overall {
-                            overall = best;
-                        }
-                    }
-                    umax[depth * s + si] = overall;
                 }
             }
         }
         let prev = state
             .last_level
             .map(|l| (ctx.vq[state.next_chunk.saturating_sub(1)][l], l));
-        // One per-scenario running state per tree depth: row 0 is the
-        // pre-plan state, row j+1 the state after the length-(j+1) prefix.
+        let root = Row {
+            buf: state.buffer_s,
+            prev,
+            total: 0.0,
+        };
         stack.clear();
-        stack.resize(
-            (h + 1) * s,
-            ScenarioWalk {
-                buf: state.buffer_s,
-                prev,
-                total: 0.0,
-            },
-        );
-        probs.clear();
-        probs.extend(rates.iter().map(|r| r.0));
-        pbuf.clear();
-        pbuf.resize(s, 0.0);
-        ptot.clear();
-        ptot.resize(s, 0.0);
-        terms.clear();
-        terms.resize(s, 0.0);
-        leaf_q.clear();
-        leaf_q.resize(n_levels, 0.0);
-        cur_plan.clear();
-        cur_plan.resize(h, 0);
-        let mut search = PlanSearch {
-            risk_aversion: self.risk_aversion,
-            max_buffer_s: self.max_buffer_s,
+        stack.resize((h + 1) * s, root);
+        for scratch in [&mut *pbuf, &mut *ptot, &mut *terms] {
+            scratch.clear();
+            scratch.resize(s, 0.0);
+        }
+        let walk = ScenarioWalk {
             qoe: &self.qoe,
-            chunk_duration_s: d,
-            weights,
+            d,
             h,
             n_levels,
-            rates,
+            weights: &rows.weights,
+            vqs: &rows.vqs,
+            probs,
             dt,
-            vqs,
             umax,
             ufirst,
-            ord,
-            prunable,
             stack,
-            probs,
             pbuf,
             ptot,
             terms,
-            leaf_q,
-            cur_plan,
-            best_plan: last_plan,
-            seeded,
-            improved: false,
-            seeded_prunes: 0,
-            best_q: f64::NEG_INFINITY,
-            best_plan0: 0,
-            nodes: 0,
-            pruned: 0,
         };
-        if seeded {
-            // Score the seed leaf exactly: the same per-depth walk and
-            // scenario-order fold the tree search performs for any leaf,
-            // so the seeded incumbent is indistinguishable from the
-            // search having visited that leaf first.
-            for (depth, &level) in seed.iter().enumerate() {
-                search.nodes += 1;
-                search.step(depth, level);
-            }
-            let mut q = 0.0;
-            for si in 0..s {
-                q += search.rates[si].0 * search.stack[h * s + si].total;
-            }
-            search.best_q = q;
-            search.best_plan0 = seed[0];
-            search.best_plan.clear();
-            search.best_plan.extend_from_slice(seed);
-        } else {
-            search.best_plan.clear();
-        }
-        search.descend(0, 0);
-        telemetry::count(telemetry::Counter::PlanNodes, search.nodes);
-        telemetry::count(telemetry::Counter::PlanPrunes, search.pruned);
-        telemetry::count(telemetry::Counter::WarmStartHits, u64::from(seeded));
-        telemetry::count(telemetry::Counter::SeededPrunes, search.seeded_prunes);
-        (search.best_plan0, search.best_q)
+        self.kernel
+            .run(walk, &self.warm, state.next_chunk, prunable, &[0.0])
+    }
+
+    /// One decision over the chunk step's prepared tables.
+    fn decide_prepared(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
+        self.prepare_rates(state);
+        let best = self.plan_prepared(state, ctx);
+        self.warm.commit(state.next_chunk, &self.kernel.best_plan);
+        Decision::level(best.plan0)
     }
 }
 
@@ -650,226 +289,126 @@ impl Fugu {
 /// position, the previous chunk's `(vq, level)` for switch penalties, and
 /// the accumulated weighted quality.
 #[derive(Debug, Clone, Copy)]
-struct ScenarioWalk {
+struct Row {
     buf: f64,
     prev: Option<(f64, usize)>,
     total: f64,
 }
 
-/// Depth-first plan enumeration state (see [`Fugu::best_plan`]).
-struct PlanSearch<'a> {
-    risk_aversion: f64,
-    max_buffer_s: f64,
+/// Fugu's [`Walk`]: one buffer walk per throughput scenario over the
+/// prefilled download-time table, folded by scenario probability.
+struct ScenarioWalk<'a> {
     qoe: &'a Ksqi,
-    chunk_duration_s: f64,
-    weights: Option<&'a [f64]>,
+    d: f64,
     h: usize,
     n_levels: usize,
-    rates: &'a [(f64, f64)],
-    dt: &'a [f64],
+    weights: &'a [f64],
     vqs: &'a [f64],
+    probs: &'a [f64],
+    dt: &'a [f64],
     umax: &'a [f64],
     ufirst: &'a [f64],
-    ord: &'a [usize],
-    prunable: bool,
-    /// `(h + 1) × scenarios` rows of running state, indexed by depth.
-    stack: &'a mut [ScenarioWalk],
-    /// Scenario probabilities, densely packed for the leaf block pass.
-    probs: &'a mut Vec<f64>,
-    /// Dense copies of the leaf-parent row's buffers / running totals.
-    pbuf: &'a mut Vec<f64>,
-    ptot: &'a mut Vec<f64>,
-    /// Per-scenario expected-score terms of one sibling leaf.
-    terms: &'a mut Vec<f64>,
-    /// Each sibling leaf's expected score, by level (block leaf scoring).
-    leaf_q: &'a mut Vec<f64>,
-    /// The DFS path (one level per depth) above the current node.
-    cur_plan: &'a mut Vec<usize>,
-    /// The full winning plan — kept for the next step's warm start.
-    best_plan: &'a mut Vec<usize>,
-    /// Whether the incumbent was seeded from the previous chunk's plan.
-    seeded: bool,
-    /// Whether any leaf has improved on the (seeded) incumbent yet.
-    improved: bool,
-    /// Prunes taken against the still-unimproved seeded incumbent.
-    seeded_prunes: u64,
-    best_q: f64,
-    best_plan0: usize,
-    /// Telemetry tallies, flushed once per decision: `(depth, level)`
-    /// expansions and bound-pruned subtrees. Plain local adds keep the
-    /// hot loop free of thread-local traffic.
-    nodes: u64,
-    pruned: u64,
+    stack: &'a mut [Row],
+    pbuf: &'a mut [f64],
+    ptot: &'a mut [f64],
+    terms: &'a mut [f64],
 }
 
-impl PlanSearch<'_> {
-    /// Extends every scenario's walk at `depth` by `level`, writing the
-    /// child row; identical arithmetic (and order) to one iteration of
-    /// the flat plan scorer's buffer walk.
+impl Walk for ScenarioWalk<'_> {
+    fn horizon(&self) -> usize {
+        self.h
+    }
+
+    fn levels(&self) -> usize {
+        self.n_levels
+    }
+
+    /// Row 0 is the decision state, written at set-up: a scenario walk
+    /// has the single candidate 0 (SENSEI-Fugu searches each pause
+    /// candidate as its own decision state).
+    fn root(&mut self, _candidate: usize) {}
+
     fn step(&mut self, depth: usize, level: usize) {
-        let s = self.rates.len();
-        let d = self.chunk_duration_s;
+        let s = self.probs.len();
+        let d = self.d;
         let vq = self.vqs[depth * self.n_levels + level];
-        for si in 0..s {
-            let parent = self.stack[depth * s + si];
-            let dt = self.dt[(depth * self.n_levels + level) * s + si];
+        let w = self.weights[depth];
+        let (above, below) = self.stack.split_at_mut((depth + 1) * s);
+        let dts = &self.dt[(depth * self.n_levels + level) * s..][..s];
+        for ((child, parent), &dt) in below[..s].iter_mut().zip(&above[depth * s..]).zip(dts) {
             let stall = (dt - parent.buf).max(0.0);
-            let mut buf = (parent.buf - dt).max(0.0) + d;
-            buf = buf.min(self.max_buffer_s);
-            let switch = match parent.prev {
-                Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                _ => 0.0,
-            };
-            let q = self
-                .qoe
-                .chunk_quality(vq, stall * self.risk_aversion, switch, d);
-            self.stack[(depth + 1) * s + si] = ScenarioWalk {
+            let buf = ((parent.buf - dt).max(0.0) + d).min(MAX_BUFFER_S);
+            let switch = plan::switch_penalty(parent.prev, vq, level);
+            let q = self.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
+            *child = Row {
                 buf,
                 prev: Some((vq, level)),
-                total: parent.total + self.weights.map_or(q, |w| w[depth] * q),
+                total: parent.total + w * q,
             };
         }
     }
 
-    /// Recursively enumerates levels at `depth`; `plan0` is the root
-    /// level of the current subtree (the candidate first action).
-    ///
-    /// **Why any exploration order is exact.** A leaf's computed score
-    /// depends only on its plan, and the only observables of the search
-    /// are the best score and the winner's *first* action. The flat
-    /// lexicographic reference with its strictly-greater update returns
-    /// exactly `(max leaf score, min plan0 among max-attaining leaves)`
-    /// — the root level is the odometer's most significant digit, so
-    /// "first leaf attaining the max" and "smallest first action
-    /// attaining the max" coincide. The update rule below maintains that
-    /// pair directly (`>` wins outright, `==` wins only with a smaller
-    /// `plan0`), which frees the search to visit subtrees in the guided
-    /// `ord` order without touching a single result bit.
-    ///
-    /// **Why pruning is exact.** A subtree is skipped only when an upper
-    /// bound on every leaf under it shows the subtree cannot change that
-    /// pair: strictly below `best_q`, nothing inside can win or tie;
-    /// equal to `best_q`, a tie inside matters only if it lowers the
-    /// winning `plan0`. The bound extends each scenario's running total
-    /// with the switch-aware per-depth terms — `ufirst` for the first
-    /// remaining step (conditioned on the node's actual previous level,
-    /// which is on the DFS path), `umax` for deeper steps — **through
-    /// the same left-to-right fold the leaf reduction performs**; every
-    /// operation in the chain (add, multiply by a nonnegative factor,
-    /// `max`) is monotone under IEEE-754 round-to-nearest, so the bound
-    /// dominates every leaf's computed value *as floating point*, not
-    /// just in exact arithmetic.
-    fn descend(&mut self, depth: usize, plan0: usize) {
-        let s = self.rates.len();
-        if self.prunable && depth > 0 {
-            // `prev` is scenario-invariant and always `Some` at depth ≥ 1
-            // (row `depth` was written by `step(depth − 1, …)`).
-            let prev_level = self.stack[depth * s].prev.map_or(0, |(_, l)| l);
-            let mut ub = 0.0;
-            for si in 0..s {
-                let mut bnd = self.stack[depth * s + si].total
-                    + self.ufirst[(depth * s + si) * self.n_levels + prev_level];
-                for j in depth + 1..self.h {
-                    bnd += self.umax[j * s + si];
-                }
-                ub += self.rates[si].0 * bnd;
+    /// Extends each scenario's running total with `ufirst` for the first
+    /// remaining step and `umax` for deeper ones, folded by probability
+    /// exactly like [`Self::total`].
+    fn bound(&self, depth: usize) -> f64 {
+        let s = self.probs.len();
+        // `prev` is scenario-invariant and always `Some` at depth ≥ 1.
+        let prev_level = self.stack[depth * s].prev.map_or(0, |(_, l)| l);
+        let mut ub = 0.0;
+        for si in 0..s {
+            let mut bnd = self.stack[depth * s + si].total
+                + self.ufirst[(depth * s + si) * self.n_levels + prev_level];
+            for j in depth + 1..self.h {
+                bnd += self.umax[j * s + si];
             }
-            if ub < self.best_q || (ub == self.best_q && plan0 >= self.best_plan0) {
-                self.pruned += 1;
-                if self.seeded && !self.improved {
-                    self.seeded_prunes += 1;
-                }
-                return;
-            }
+            ub += self.probs[si] * bnd;
         }
-        if depth + 1 == self.h {
-            // The `n_levels` sibling leaves under this parent are scored
-            // as one straight-line block pass, then consumed in the exact
-            // visit order below (module docs, optimization 5).
-            self.score_leaves(depth);
-            for k in 0..self.n_levels {
-                self.nodes += 1;
-                let level = if self.prunable {
-                    self.ord[depth * self.n_levels + k]
-                } else {
-                    k
-                };
-                let plan0 = if depth == 0 { level } else { plan0 };
-                let q = self.leaf_q[level];
-                if q > self.best_q || (q == self.best_q && plan0 < self.best_plan0) {
-                    self.best_q = q;
-                    self.best_plan0 = plan0;
-                    self.improved = true;
-                    self.best_plan.clear();
-                    self.best_plan.extend_from_slice(&self.cur_plan[..depth]);
-                    self.best_plan.push(level);
-                }
-            }
-            return;
-        }
-        for k in 0..self.n_levels {
-            self.nodes += 1;
-            // `ord` is only filled when pruning is active; the unpruned
-            // fallback keeps the reference's lexicographic order.
-            let level = if self.prunable {
-                self.ord[depth * self.n_levels + k]
-            } else {
-                k
-            };
-            let plan0 = if depth == 0 { level } else { plan0 };
-            self.cur_plan[depth] = level;
-            self.step(depth, level);
-            self.descend(depth + 1, plan0);
-        }
+        ub
     }
 
-    /// Scores every sibling leaf under the parent row at `depth` in one
-    /// block: the per-scenario parent state is copied into dense slices
-    /// once, then each level runs a straight-line pass of pure slice
-    /// arithmetic (no struct-of-walks indirection, no branches beyond the
-    /// clamp `max`) that the autovectorizer can turn into SIMD lanes.
-    /// Every element computes **exactly** one step of the reference walk
-    /// — `probs[si] · (parent.total + w·q)` with the identical stall,
-    /// switch, and KSQI arithmetic — and the final reduction folds the
-    /// terms in scenario order from 0.0, so each `leaf_q[level]` is
-    /// bit-identical to what [`Self::step`] plus the scenario-order fold
-    /// produced before this restructuring.
-    fn score_leaves(&mut self, depth: usize) {
-        let s = self.rates.len();
+    /// Copies the parent row into dense slices once, then runs one
+    /// straight-line pass per level (no struct-of-walks indirection, no
+    /// branches beyond the clamp `max`) that the autovectorizer can turn
+    /// into SIMD lanes. Each element computes exactly one [`Self::step`]
+    /// term, `probs[si] · (parent.total + w·q)`, and the terms fold in
+    /// scenario order from `0.0` exactly like [`Self::total`].
+    fn score_leaves(&mut self, depth: usize, leaf_q: &mut [f64]) {
+        let s = self.probs.len();
         let n_levels = self.n_levels;
-        let d = self.chunk_duration_s;
-        let risk = self.risk_aversion;
-        // `prev` is scenario-invariant by construction: every stack row
-        // is written with the same `(vq, level)` across scenarios.
+        let d = self.d;
+        // `prev` is scenario-invariant by construction.
         let prev = self.stack[depth * s].prev;
-        let wd = self.weights.map(|w| w[depth]);
+        let w = self.weights[depth];
         for si in 0..s {
             let parent = self.stack[depth * s + si];
             self.pbuf[si] = parent.buf;
             self.ptot[si] = parent.total;
         }
-        for level in 0..n_levels {
+        for (level, leaf) in leaf_q.iter_mut().enumerate() {
             let vq = self.vqs[depth * n_levels + level];
-            let switch = match prev {
-                Some((pvq, plevel)) if plevel != level => (vq - pvq).abs(),
-                _ => 0.0,
-            };
+            let switch = plan::switch_penalty(prev, vq, level);
             let base = (depth * n_levels + level) * s;
             for si in 0..s {
                 let stall = (self.dt[base + si] - self.pbuf[si]).max(0.0);
-                let q = self.qoe.chunk_quality(vq, stall * risk, switch, d);
-                let wq = match wd {
-                    Some(w) => w * q,
-                    None => q,
-                };
-                self.terms[si] = self.probs[si] * (self.ptot[si] + wq);
+                let q = self.qoe.chunk_quality(vq, stall * RISK_AVERSION, switch, d);
+                self.terms[si] = self.probs[si] * (self.ptot[si] + w * q);
             }
             let mut acc = 0.0;
             for &term in self.terms.iter() {
                 acc += term;
             }
-            self.leaf_q[level] = acc;
+            *leaf = acc;
         }
+    }
+
+    fn total(&self) -> f64 {
+        let s = self.probs.len();
+        let mut q = 0.0;
+        for si in 0..s {
+            q += self.probs[si] * self.stack[self.h * s + si].total;
+        }
+        q
     }
 }
 
@@ -885,74 +424,75 @@ impl AbrPolicy for Fugu {
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        Decision::level(self.best_plan(state, ctx, None).0)
-    }
-
-    /// Session-boundary hygiene: the warm-start carry never crosses a
-    /// session, so a reused policy instance plans exactly like a fresh one.
-    fn reset(&mut self) {
-        self.warm.invalidate();
-    }
-
-    /// Trace-boundary hygiene: a rebound policy plans a different network,
-    /// so every carry slot (scalar and per-lane) is dropped.
-    fn rebind(&mut self, _trace: &ThroughputTrace) {
-        self.warm.invalidate();
-        for slot in &mut self.lane_warm {
-            slot.invalidate();
+        match self.prepare(state.next_chunk, ctx, None) {
+            0 => Decision::level(0),
+            _ => self.decide_prepared(state, ctx),
         }
     }
 
-    /// Batch-boundary hygiene: fresh per-lane carry slots for the new
-    /// lane set, plus the scalar reset.
-    fn begin_batch(&mut self, lanes: usize) {
-        self.reset();
-        self.lane_warm.clear();
-        self.lane_warm.resize_with(lanes, WarmSlot::default);
+    fn reset(&mut self) {
+        self.warm.reset();
     }
 
-    /// Plans every lane of the batch in one pass. All lanes of a batch sit
-    /// at the same chunk step, so the per-(chunk, level) size/vq manifest
-    /// tables are filled once for the whole tile instead of once per lane;
-    /// the per-lane search then runs over the same prepared tables the
-    /// scalar path uses, so decisions are bit-identical to [`Self::decide`].
-    /// Each lane's warm-start carry is swapped in around its search,
-    /// exactly like SENSEI-Fugu's per-lane pause ledger.
+    fn rebind(&mut self, _trace: &ThroughputTrace) {
+        self.warm.rebind();
+    }
+
+    fn begin_batch(&mut self, lanes: usize) {
+        self.warm.begin_batch(lanes);
+    }
+
+    /// Plans every lane of the batch over chunk tables filled once for
+    /// the whole tile (all lanes sit at the same chunk step), so decisions
+    /// are bit-identical to [`Self::decide`].
     fn select_batch(
         &mut self,
         states: &BatchStates<'_>,
         ctx: &SessionContext<'_>,
         out: &mut [Decision],
     ) {
-        let h = self.effective_horizon(states.next_chunk(), ctx);
-        if h == 0 {
-            for slot in out.iter_mut().take(states.len()) {
-                *slot = Decision::level(0);
-            }
-            return;
-        }
-        self.fill_chunk_tables(states.next_chunk(), h, ctx);
-        if self.lane_warm.len() < states.len() {
-            self.lane_warm.resize_with(states.len(), WarmSlot::default);
-        }
-        for (i, slot) in out.iter_mut().enumerate().take(states.len()) {
-            let state = states.state(i);
-            std::mem::swap(&mut self.warm, &mut self.lane_warm[i]);
-            self.prepare_rates(&state, ctx, h);
-            let (level, _q) = self.plan_prepared(&state, ctx, None, h);
-            self.commit_warm_from_last(state.next_chunk);
-            std::mem::swap(&mut self.warm, &mut self.lane_warm[i]);
-            *slot = Decision::level(level);
-        }
+        let h = self.prepare(states.next_chunk(), ctx, None);
+        crate::plan_lanes(
+            self,
+            |p| &mut p.warm,
+            h,
+            states,
+            out,
+            |p, _, state| p.decide_prepared(state, ctx),
+        );
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::test_support::{encoded, source};
     use sensei_sim::{simulate, PlayerConfig};
     use sensei_trace::ThroughputTrace;
+
+    impl Fugu {
+        /// One scalar search with explicit horizon weights (`None` plans
+        /// unweighted): the best plan's first level and its score.
+        pub(crate) fn best_plan(
+            &mut self,
+            state: &PlayerState<'_>,
+            ctx: &SessionContext<'_>,
+            weights: Option<&[f64]>,
+        ) -> (usize, f64) {
+            let h = self.prepare(state.next_chunk, ctx, None);
+            if h == 0 {
+                return (0, 0.0);
+            }
+            if let Some(w) = weights {
+                self.scratch.rows.weights.clear();
+                self.scratch.rows.weights.extend_from_slice(&w[..h]);
+            }
+            self.prepare_rates(state);
+            let best = self.plan_prepared(state, ctx);
+            self.warm.commit(state.next_chunk, &self.kernel.best_plan);
+            (best.plan0, best.q)
+        }
+    }
 
     fn run(trace_kbps: f64) -> sensei_sim::SessionResult {
         let src = source();
@@ -1040,18 +580,12 @@ mod tests {
         assert_eq!(result.levels.len(), 3);
     }
 
-    #[test]
-    #[should_panic(expected = "horizon")]
-    fn zero_horizon_is_rejected() {
-        let _ = Fugu::new().with_horizon(0);
-    }
-
     /// The pre-refactor flat enumeration, kept as the reference the
     /// prefix-sharing, table-hoisting, branch-and-bound DFS must reproduce
     /// bit for bit: every plan scored from scratch by an independent
     /// buffer walk per scenario, plans visited in odometer (lexicographic)
     /// order, no pruning anywhere.
-    fn reference_best_plan(
+    pub(crate) fn reference_best_plan(
         fugu: &Fugu,
         state: &PlayerState<'_>,
         ctx: &SessionContext<'_>,
@@ -1077,15 +611,14 @@ mod tests {
                     _ => 0.0,
                 };
                 prev = Some((vq, level));
-                let q =
-                    Ksqi::canonical().chunk_quality(vq, stall * fugu.risk_aversion(), switch, d);
+                let q = Ksqi::canonical().chunk_quality(vq, stall * RISK_AVERSION, switch, d);
                 total += weights.map_or(q, |w| w[j] * q);
             }
             total
         };
         let n_levels = ctx.num_levels();
         let h = DEFAULT_HORIZON.min(ctx.num_chunks() - state.next_chunk);
-        let scenario_rates = fugu.predictor().scenario_rates(state);
+        let scenario_rates = fugu.predictor.scenario_rates(state);
         let mut plan = vec![0usize; h];
         let mut best_plan0 = 0usize;
         let mut best_q = f64::NEG_INFINITY;

@@ -24,6 +24,10 @@
 //! * [`das_ip`] — DAS-IP (Singh & Kumar, arXiv:1612.05864): a per-level
 //!   index policy that replaces the MPC horizon enumeration with an
 //!   `O(levels)` argmax, the fleet-scale cost point of the family.
+//!
+//! Fugu, SENSEI-Fugu and the offline controllers share one exact
+//! branch-and-bound plan search (the crate-private `plan` module); each
+//! supplies only its walk of a plan prefix.
 
 // Ladder levels, plan indices, and horizon depths move between
 // integer and f64 domains constantly; every float→index conversion
@@ -37,6 +41,7 @@ pub mod das_ip;
 pub mod fugu;
 pub mod offline;
 pub mod pensieve;
+mod plan;
 pub mod predictor;
 pub mod sensei_fugu;
 pub mod sensei_pensieve;
@@ -50,11 +55,11 @@ pub use predictor::{ThroughputPredictor, ThroughputScenario};
 pub use sensei_fugu::SenseiFugu;
 pub use sensei_pensieve::SenseiPensieve;
 
+use sensei_sim::{BatchStates, Decision, PlayerState};
+
 /// Cross-chunk warm-start carry: the full winning plan of one chunk
 /// step's search, committed so the *next* step can seed its incumbent
-/// with the shifted suffix. Shared by the MPC family ([`Fugu`],
-/// [`SenseiFugu`]'s inner search, [`OracleMpc`]); batched policies keep
-/// one slot per lane, exactly like SENSEI-Fugu's per-lane pause ledger.
+/// with the shifted suffix (see [`WarmLanes`] for who owns the slots).
 ///
 /// Seeding is **result-invariant**: the seed is scored with the exact
 /// leaf arithmetic of the search it primes, so it is indistinguishable
@@ -64,7 +69,7 @@ pub use sensei_pensieve::SenseiPensieve;
 /// and at batch boundaries so state never leaks across sessions) and
 /// safety (every seeded level must index the current ladder).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WarmSlot {
+struct WarmSlot {
     /// Whether `plan` holds a committed plan from chunk step `next_chunk`.
     valid: bool,
     /// The chunk step `plan` was committed at.
@@ -73,27 +78,39 @@ pub(crate) struct WarmSlot {
     plan: Vec<usize>,
 }
 
-impl WarmSlot {
-    /// Drops the carried plan (session/batch/trace boundary hygiene).
-    pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
-    }
+/// The warm-start carries of one MPC-family policy ([`Fugu`], the search
+/// inside [`SenseiFugu`], [`OracleMpc`]): the scalar slot the search reads
+/// and commits, plus one slot per batch lane that
+/// [`plan_lanes`] swaps into the scalar slot around the lane's decision —
+/// the carry is per-session state, exactly like SENSEI-Fugu's pause
+/// ledger.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WarmLanes {
+    /// When set, searches never seed from or commit to the slots — the
+    /// cold reference mode the warm-vs-cold parity suite compares against.
+    cold: bool,
+    slot: WarmSlot,
+    lanes: Vec<WarmSlot>,
+}
 
-    /// Records `plan` as the winner of chunk step `next_chunk`.
-    pub(crate) fn commit(&mut self, next_chunk: usize, plan: &[usize]) {
-        self.valid = true;
-        self.next_chunk = next_chunk;
-        self.plan.clear();
-        self.plan.extend_from_slice(plan);
+impl WarmLanes {
+    /// Backs the policies' `with_warm_start`: disabling forces every
+    /// search to start cold (bit-identical results, more nodes).
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
+        self.cold = !enabled;
+        if self.cold {
+            self.slot.valid = false;
+            self.lanes.clear();
+        }
     }
 
     /// Builds the warm-start seed for a search at `next_chunk` over
     /// horizon `h` into `seed`: the shifted suffix of the committed plan
     /// (step `t`'s plan minus its consumed first action), padded with its
     /// last level to fill the horizon. Returns false — and leaves the
-    /// search unseeded — unless the slot holds the *immediately
-    /// preceding* chunk step's plan and every seeded level indexes the
-    /// ladder (`< n_levels`). Seed *quality* is irrelevant to
+    /// search unseeded — in cold mode, and unless the slot holds the
+    /// *immediately preceding* chunk step's plan and every seeded level
+    /// indexes the ladder (`< n_levels`). Seed *quality* is irrelevant to
     /// correctness (any in-range plan is a real leaf); the guards only
     /// keep indexing safe and the carry per-session.
     pub(crate) fn seed_into(
@@ -103,16 +120,84 @@ impl WarmSlot {
         n_levels: usize,
         seed: &mut Vec<usize>,
     ) -> bool {
-        if !self.valid || h == 0 || next_chunk != self.next_chunk.wrapping_add(1) {
+        let slot = &self.slot;
+        if self.cold || !slot.valid || h == 0 || next_chunk != slot.next_chunk.wrapping_add(1) {
             return false;
         }
         seed.clear();
-        if self.plan.len() > 1 {
-            seed.extend_from_slice(&self.plan[1..]);
+        if slot.plan.len() > 1 {
+            seed.extend_from_slice(&slot.plan[1..]);
         }
         let pad = seed.last().copied().unwrap_or(0);
         seed.resize(h, pad);
         seed.iter().all(|&level| level < n_levels)
+    }
+
+    /// Records `plan` as the winner of chunk step `next_chunk`. No-op in
+    /// cold mode.
+    pub(crate) fn commit(&mut self, next_chunk: usize, plan: &[usize]) {
+        if !self.cold {
+            let slot = &mut self.slot;
+            slot.valid = true;
+            slot.next_chunk = next_chunk;
+            slot.plan.clear();
+            slot.plan.extend_from_slice(plan);
+        }
+    }
+
+    /// Session-boundary hygiene: the carry never crosses a session, so a
+    /// reused policy instance plans exactly like a fresh one.
+    pub(crate) fn reset(&mut self) {
+        self.slot.valid = false;
+    }
+
+    /// Trace-boundary hygiene: a rebound policy plans a different
+    /// network, so every slot (scalar and per-lane) is dropped.
+    pub(crate) fn rebind(&mut self) {
+        self.reset();
+        for slot in &mut self.lanes {
+            slot.valid = false;
+        }
+    }
+
+    /// Batch-boundary hygiene: the scalar reset plus one fresh slot per
+    /// lane of the new batch (sized once here; `select_batch` relies on
+    /// the `begin_batch`-first contract).
+    pub(crate) fn begin_batch(&mut self, lanes: usize) {
+        self.reset();
+        self.lanes.clear();
+        self.lanes.resize_with(lanes, WarmSlot::default);
+    }
+
+    /// Swaps lane `lane`'s carry with the scalar slot (its own inverse).
+    fn swap_lane(&mut self, lane: usize) {
+        std::mem::swap(&mut self.slot, &mut self.lanes[lane]);
+    }
+}
+
+/// The batched decision loop of the MPC family: `decide(policy, lane,
+/// state)` runs once per lane over tables the caller prepared for the
+/// batch's shared chunk step, with the lane's warm carry (reached through
+/// `warm`) swapped into the scalar slot around it, so every lane plans
+/// exactly as a dedicated scalar instance would. An effective horizon `h`
+/// of 0 (the video end) decides level 0 for every lane.
+pub(crate) fn plan_lanes<P>(
+    policy: &mut P,
+    warm: fn(&mut P) -> &mut WarmLanes,
+    h: usize,
+    states: &BatchStates<'_>,
+    out: &mut [Decision],
+    mut decide: impl FnMut(&mut P, usize, &PlayerState<'_>) -> Decision,
+) {
+    for (lane, slot) in out.iter_mut().enumerate().take(states.len()) {
+        if h == 0 {
+            *slot = Decision::level(0);
+            continue;
+        }
+        let state = states.state(lane);
+        warm(policy).swap_lane(lane);
+        *slot = decide(policy, lane, &state);
+        warm(policy).swap_lane(lane);
     }
 }
 
