@@ -16,7 +16,7 @@
 use crate::AbrError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sensei_ml::rl::{A2cConfig, ActorCritic, Transition};
+use sensei_ml::rl::{A2cConfig, ActorCritic, PolicyScratch, Transition};
 use sensei_qoe::Ksqi;
 use sensei_sim::{simulate, AbrPolicy, Decision, PlayerConfig, PlayerState, SessionContext};
 use sensei_trace::ThroughputTrace;
@@ -82,16 +82,37 @@ pub(crate) fn annealed_entropy(initial: f64, episode: usize, total: usize) -> f6
 }
 
 /// A trained Pensieve agent (greedy at evaluation time).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Pensieve {
     agent: ActorCritic,
     qoe: Ksqi,
     name: String,
+    /// Reused state vector and network buffers: a decision allocates
+    /// nothing.
+    state: Vec<f64>,
+    scratch: PolicyScratch,
+}
+
+impl std::fmt::Debug for Pensieve {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The decision buffers carry nothing from one decision to the next.
+        f.debug_struct("Pensieve")
+            .field("agent", &self.agent)
+            .field("qoe", &self.qoe)
+            .field("name", &self.name)
+            .finish()
+    }
 }
 
 /// Builds the Pensieve state vector from player state and context.
 pub(crate) fn state_vector(state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Vec<f64> {
     let mut v = Vec::with_capacity(STATE_DIM);
+    push_state(state, ctx, &mut v);
+    v
+}
+
+/// Appends the Pensieve state vector (`STATE_DIM` values) to `v`.
+pub(crate) fn push_state(state: &PlayerState<'_>, ctx: &SessionContext<'_>, v: &mut Vec<f64>) {
     // Last chunk's visual quality (0 before the first chunk).
     let last_vq = match state.last_level {
         Some(l) if state.next_chunk > 0 => ctx.vq[state.next_chunk - 1][l],
@@ -123,13 +144,13 @@ pub(crate) fn state_vector(state: &PlayerState<'_>, ctx: &SessionContext<'_>) ->
         v.push(size / 8e6);
     }
     v.push((ctx.num_chunks() - state.next_chunk) as f64 / ctx.num_chunks() as f64);
-    v
 }
 
 /// Training-time shim: samples from the policy and records the trajectory.
 struct Explorer<'a> {
     agent: &'a ActorCritic,
     rng: &'a mut StdRng,
+    scratch: &'a mut PolicyScratch,
     states: Vec<Vec<f64>>,
     actions: Vec<usize>,
 }
@@ -143,7 +164,7 @@ impl AbrPolicy for Explorer<'_> {
         let s = state_vector(state, ctx);
         let a = self
             .agent
-            .sample_action(&s, self.rng)
+            .sample_action_with(&s, None, self.rng, self.scratch)
             .expect("state vector matches agent dims");
         self.states.push(s);
         self.actions.push(a);
@@ -172,6 +193,7 @@ impl Pensieve {
         let qoe = Ksqi::canonical();
         let mut agent = ActorCritic::new(STATE_DIM, 5, config.a2c.clone(), seed)?;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9E_2021);
+        let mut scratch = PolicyScratch::default();
         for ep in 0..config.episodes {
             agent.set_entropy_coef(annealed_entropy(
                 config.a2c.entropy_coef,
@@ -183,6 +205,7 @@ impl Pensieve {
             let mut explorer = Explorer {
                 agent: &agent,
                 rng: &mut rng,
+                scratch: &mut scratch,
                 states: Vec::new(),
                 actions: Vec::new(),
             };
@@ -206,6 +229,8 @@ impl Pensieve {
             agent,
             qoe,
             name: "Pensieve".to_string(),
+            state: Vec::with_capacity(STATE_DIM),
+            scratch: PolicyScratch::default(),
         })
     }
 
@@ -226,10 +251,11 @@ impl AbrPolicy for Pensieve {
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        let s = state_vector(state, ctx);
+        self.state.clear();
+        push_state(state, ctx, &mut self.state);
         let a = self
             .agent
-            .best_action(&s)
+            .best_action_with(&self.state, None, &mut self.scratch)
             .expect("state vector matches agent dims");
         Decision::level(a.min(ctx.num_levels() - 1))
     }

@@ -9,11 +9,11 @@
 //! rebuffering time and rerun the ABR algorithm immediately." The reward
 //! reweights each chunk's quality by its sensitivity weight.
 
-use crate::pensieve::{state_vector, PensieveConfig, STATE_DIM};
+use crate::pensieve::{push_state, PensieveConfig, STATE_DIM};
 use crate::AbrError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sensei_ml::rl::{ActorCritic, Transition};
+use sensei_ml::rl::{ActorCritic, PolicyScratch, Transition};
 use sensei_qoe::Ksqi;
 #[cfg(test)]
 use sensei_sim::PlayerConfig;
@@ -31,16 +31,38 @@ pub const SENSEI_STATE_DIM: usize = STATE_DIM + WEIGHT_HORIZON;
 const N_ACTIONS: usize = 7;
 
 /// A trained SENSEI-Pensieve agent.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SenseiPensieve {
     agent: ActorCritic,
     name: String,
+    /// Reused state vector and network buffers: a decision allocates
+    /// nothing.
+    state: Vec<f64>,
+    scratch: PolicyScratch,
+}
+
+impl std::fmt::Debug for SenseiPensieve {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The decision buffers carry nothing from one decision to the next.
+        f.debug_struct("SenseiPensieve")
+            .field("agent", &self.agent)
+            .field("name", &self.name)
+            .finish()
+    }
 }
 
 /// Extends the Pensieve state with the sensitivity weights of the next h
 /// chunks (uniform 1.0 when the manifest carries none or past the end).
+#[cfg(test)]
 fn sensei_state(state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Vec<f64> {
-    let mut v = state_vector(state, ctx);
+    let mut v = Vec::with_capacity(SENSEI_STATE_DIM);
+    push_sensei_state(state, ctx, &mut v);
+    v
+}
+
+/// Appends the SENSEI-Pensieve state vector (`SENSEI_STATE_DIM` values).
+fn push_sensei_state(state: &PlayerState<'_>, ctx: &SessionContext<'_>, v: &mut Vec<f64>) {
+    push_state(state, ctx, v);
     match ctx.weights {
         Some(w) => {
             let window = w.window(state.next_chunk, WEIGHT_HORIZON);
@@ -50,14 +72,10 @@ fn sensei_state(state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Vec<f64> {
         }
         None => v.extend(std::iter::repeat_n(1.0, WEIGHT_HORIZON)),
     }
-    v
 }
 
-/// Decides level and pause with the "rerun after a pause action" loop.
-/// Generic over action selection so training (sampling) and evaluation
-/// (greedy) share the exact decision semantics. The selector receives the
-/// currently *allowed* actions: pause actions are masked out during
-/// startup and once the {0, 1, 2}-second pause budget is spent.
+/// [`decide_into`] that also returns every (state, action) pair taken,
+/// pauses and the final bitrate, for training.
 fn decide_with<F>(
     state: &PlayerState<'_>,
     ctx: &SessionContext<'_>,
@@ -67,24 +85,55 @@ fn decide_with<F>(
 where
     F: FnMut(&[f64], &[usize]) -> usize,
 {
-    let n_levels = ctx.num_levels();
-    let bitrate_actions: Vec<usize> = (0..n_levels).collect();
     let mut taken = Vec::new();
+    let mut s = Vec::with_capacity(SENSEI_STATE_DIM);
+    let decision = decide_into(state, ctx, max_pause_s, &mut s, |s, allowed| {
+        let a = act(s, allowed);
+        taken.push((s.to_vec(), a));
+        a
+    });
+    (decision, taken)
+}
+
+/// Decides level and pause with the "rerun after a pause action" loop,
+/// building each state in the reused buffer `s`. Generic over action
+/// selection so training (sampling) and evaluation (greedy) share the
+/// exact decision semantics. The selector receives the currently
+/// *allowed* actions: pause actions are masked out during startup and
+/// once the {0, 1, 2}-second pause budget is spent.
+fn decide_into<F>(
+    state: &PlayerState<'_>,
+    ctx: &SessionContext<'_>,
+    max_pause_s: f64,
+    s: &mut Vec<f64>,
+    mut act: F,
+) -> Decision
+where
+    F: FnMut(&[f64], &[usize]) -> usize,
+{
+    let n_levels = ctx.num_levels();
     let mut pause_total = 0.0;
     let mut working = *state;
     loop {
-        let mut allowed = bitrate_actions.clone();
+        // Every bitrate action, then the pauses that fit the budget; a
+        // ladder longer than the action space fails here as it would fail
+        // the agent's mask check.
+        let mut allowed = [0; N_ACTIONS + 2];
+        let mut len = n_levels;
+        for (slot, level) in allowed[..n_levels].iter_mut().zip(0..) {
+            *slot = level;
+        }
         if working.playing {
-            if pause_total + 1.0 <= max_pause_s + 1e-9 {
-                allowed.push(5);
-            }
-            if pause_total + 2.0 <= max_pause_s + 1e-9 {
-                allowed.push(6);
+            for (action, pause) in [(5, 1.0), (6, 2.0)] {
+                if pause_total + pause <= max_pause_s + 1e-9 {
+                    allowed[len] = action;
+                    len += 1;
+                }
             }
         }
-        let s = sensei_state(&working, ctx);
-        let a = act(&s, &allowed);
-        taken.push((s, a));
+        s.clear();
+        push_sensei_state(&working, ctx, s);
+        let a = act(s, &allowed[..len]);
         if a >= 5 {
             let pause = (a - 4) as f64; // 1 s or 2 s
             pause_total += pause;
@@ -93,13 +142,10 @@ where
             // time the next chunk arrives.
             working.buffer_s += pause;
         } else {
-            return (
-                Decision {
-                    level: a.min(n_levels - 1),
-                    pause_s: pause_total,
-                },
-                taken,
-            );
+            return Decision {
+                level: a.min(n_levels - 1),
+                pause_s: pause_total,
+            };
         }
     }
 }
@@ -109,6 +155,7 @@ where
 struct Explorer<'a> {
     agent: &'a ActorCritic,
     rng: &'a mut StdRng,
+    scratch: &'a mut PolicyScratch,
     max_pause_s: f64,
     /// Per chunk decision: the (state, action) pairs taken (pauses + final
     /// bitrate).
@@ -123,7 +170,7 @@ impl AbrPolicy for Explorer<'_> {
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
         let (decision, taken) = decide_with(state, ctx, self.max_pause_s, |s, allowed| {
             self.agent
-                .sample_action_masked(s, allowed, self.rng)
+                .sample_action_with(s, Some(allowed), self.rng, self.scratch)
                 .expect("state dims match")
         });
         self.per_chunk.push(taken);
@@ -153,6 +200,7 @@ impl SenseiPensieve {
         let qoe = Ksqi::canonical();
         let mut agent = ActorCritic::new(SENSEI_STATE_DIM, N_ACTIONS, config.a2c.clone(), seed)?;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5E_2021);
+        let mut scratch = PolicyScratch::default();
         for ep in 0..config.episodes {
             agent.set_entropy_coef(crate::pensieve::annealed_entropy(
                 config.a2c.entropy_coef,
@@ -164,6 +212,7 @@ impl SenseiPensieve {
             let mut explorer = Explorer {
                 agent: &agent,
                 rng: &mut rng,
+                scratch: &mut scratch,
                 max_pause_s: config.player.max_pause_s,
                 per_chunk: Vec::new(),
             };
@@ -202,6 +251,8 @@ impl SenseiPensieve {
         Ok(Self {
             agent,
             name: "SENSEI-Pensieve".to_string(),
+            state: Vec::with_capacity(SENSEI_STATE_DIM),
+            scratch: PolicyScratch::default(),
         })
     }
 
@@ -216,6 +267,8 @@ impl SenseiPensieve {
         Ok(Self {
             agent,
             name: "SENSEI-Pensieve".to_string(),
+            state: Vec::with_capacity(SENSEI_STATE_DIM),
+            scratch: PolicyScratch::default(),
         })
     }
 }
@@ -226,12 +279,12 @@ impl AbrPolicy for SenseiPensieve {
     }
 
     fn decide(&mut self, state: &PlayerState<'_>, ctx: &SessionContext<'_>) -> Decision {
-        let (decision, _) = decide_with(state, ctx, 2.0, |s, allowed| {
-            self.agent
-                .best_action_masked(s, allowed)
+        let (agent, scratch) = (&self.agent, &mut self.scratch);
+        decide_into(state, ctx, 2.0, &mut self.state, |s, allowed| {
+            agent
+                .best_action_with(s, Some(allowed), scratch)
                 .expect("state dims match")
-        });
-        decision
+        })
     }
 }
 

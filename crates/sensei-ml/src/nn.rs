@@ -2,10 +2,21 @@
 //!
 //! These networks back two parts of the reproduction: the Pensieve
 //! actor-critic (policy and value heads, [`crate::rl`]) and the dense output
-//! head of the LSTM-QoE baseline ([`crate::lstm`]). The design favors
-//! clarity over speed — networks here have tens of thousands of parameters
-//! at most, and a forward pass must stay cheap enough that the §7.4 "ABR
-//! overhead < 1%" claim holds in the criterion benches.
+//! head of the LSTM-QoE baseline ([`crate::lstm`]). Pensieve and
+//! SENSEI-Pensieve run a forward pass per decision (and again after every
+//! pause action), so inference is the hot path of RL policies.
+//!
+//! Kernel contract: every pre-activation is summed exactly as
+//! `row.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + b[o]` would sum
+//! it: from `-0.0`, input index ascending, then the bias. Within that
+//! order the dense layer's forward computes four output rows per pass
+//! with four independent accumulators (four add chains in flight instead
+//! of one); the `out_dim % 4` leftover rows use the one-row chain. The
+//! result is bit-identical to the naive loop, so trained weights and
+//! decisions do not depend on the kernel. [`Mlp::forward_into`] runs the
+//! pass into caller-owned [`ForwardBuffers`] and allocates nothing once
+//! they are sized; [`Mlp::forward`] and [`Mlp::forward_cached`] are thin
+//! allocating wrappers over the same path.
 
 use crate::{gaussian, MlError};
 use rand::rngs::StdRng;
@@ -25,9 +36,11 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to a pre-activation vector.
-    pub fn apply(self, z: &[f64]) -> Vec<f64> {
-        z.iter().map(|&v| self.scalar(v)).collect()
+    /// Applies the activation in place to a pre-activation vector.
+    pub fn apply(self, z: &mut [f64]) {
+        for v in z {
+            *v = self.scalar(*v);
+        }
     }
 
     /// Scalar activation.
@@ -59,10 +72,21 @@ impl Activation {
 
 /// Numerically stable softmax.
 pub fn softmax(z: &[f64]) -> Vec<f64> {
+    let mut p = Vec::with_capacity(z.len());
+    softmax_into(z, &mut p);
+    p
+}
+
+/// [`softmax`] into a reused buffer (same arithmetic: max, `exp(v − max)`,
+/// their sum, then each `e / sum`).
+pub fn softmax_into(z: &[f64], out: &mut Vec<f64>) {
     let max = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = z.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
+    out.clear();
+    out.extend(z.iter().map(|&v| (v - max).exp()));
+    let sum: f64 = out.iter().sum();
+    for e in out.iter_mut() {
+        *e /= sum;
+    }
 }
 
 /// One dense layer with its gradient and Adam-moment buffers.
@@ -102,29 +126,56 @@ impl Dense {
         }
     }
 
-    /// Pre-activation forward: `z = W·x + b`.
-    fn forward(&self, x: &[f64]) -> Vec<f64> {
-        (0..self.out_dim)
-            .map(|o| {
-                let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-                row.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + self.b[o]
-            })
-            .collect()
+    /// Pre-activation forward into `z`: `z = W·x + b`, four rows per pass
+    /// (see the module doc for the summation contract).
+    fn forward_into(&self, x: &[f64], z: &mut [f64]) {
+        let n = self.in_dim;
+        let x = &x[..n];
+        let blocked = self.out_dim - self.out_dim % 4;
+        let (w4, w1) = self.w.split_at(blocked * n);
+        let (b4, b1) = self.b.split_at(blocked);
+        let (z4, z1) = z[..self.out_dim].split_at_mut(blocked);
+        for ((rows, b), z) in w4
+            .chunks_exact(4 * n)
+            .zip(b4.chunks_exact(4))
+            .zip(z4.chunks_exact_mut(4))
+        {
+            let (r0, rest) = rows.split_at(n);
+            let (r1, rest) = rest.split_at(n);
+            let (r2, r3) = rest.split_at(n);
+            let (mut s0, mut s1, mut s2, mut s3) = (-0.0, -0.0, -0.0, -0.0);
+            for ((((&v, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                s0 += w0 * v;
+                s1 += w1 * v;
+                s2 += w2 * v;
+                s3 += w3 * v;
+            }
+            z[0] = s0 + b[0];
+            z[1] = s1 + b[1];
+            z[2] = s2 + b[2];
+            z[3] = s3 + b[3];
+        }
+        for ((row, &b), z) in w1.chunks_exact(n).zip(b1).zip(z1) {
+            *z = row.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + b;
+        }
     }
 
     /// Accumulates gradients for `dz` (gradient w.r.t. pre-activation) at
-    /// input `x`; returns the gradient w.r.t. `x`.
-    fn backward(&mut self, x: &[f64], dz: &[f64]) -> Vec<f64> {
-        let mut dx = vec![0.0; self.in_dim];
+    /// input `x`, and adds the gradient w.r.t. `x` into `dx` when asked.
+    fn backward(&mut self, x: &[f64], dz: &[f64], mut dx: Option<&mut [f64]>) {
+        let n = self.in_dim;
         for (o, &g) in dz.iter().enumerate().take(self.out_dim) {
             self.gb[o] += g;
-            let row_start = o * self.in_dim;
-            for i in 0..self.in_dim {
-                self.gw[row_start + i] += g * x[i];
-                dx[i] += self.w[row_start + i] * g;
+            let row = o * n..(o + 1) * n;
+            for (gw, &xi) in self.gw[row.clone()].iter_mut().zip(x) {
+                *gw += g * xi;
+            }
+            if let Some(dx) = dx.as_deref_mut() {
+                for (d, &w) in dx.iter_mut().zip(&self.w[row]) {
+                    *d += w * g;
+                }
             }
         }
-        dx
     }
 
     fn adam_step(&mut self, lr: f64, t: usize) {
@@ -159,17 +210,33 @@ pub(crate) fn adam_update(
     }
 }
 
-/// Forward-pass cache for one sample: activations per layer
-/// (`acts[0]` is the input, `acts[L]` the network output).
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
+/// Reusable per-layer output buffers for [`Mlp::forward_into`]: `acts[l]`
+/// is layer `l`'s activated output. Sized on first use; one set serves any
+/// number of passes through networks of the same shape.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardBuffers {
     acts: Vec<Vec<f64>>,
+}
+
+impl ForwardBuffers {
+    /// The network output of the last pass (post output-activation).
+    pub fn output(&self) -> &[f64] {
+        self.acts.last().expect("a forward pass filled the buffers")
+    }
+}
+
+/// Forward-pass cache for one sample, for backprop: the input plus every
+/// layer's activations.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardCache {
+    input: Vec<f64>,
+    layers: ForwardBuffers,
 }
 
 impl ForwardCache {
     /// The network output (post output-activation).
     pub fn output(&self) -> &[f64] {
-        self.acts.last().expect("cache has at least the input")
+        self.layers.output()
     }
 }
 
@@ -244,7 +311,44 @@ impl Mlp {
     ///
     /// Returns an error on input-dimension mismatch.
     pub fn forward(&self, x: &[f64]) -> Result<Vec<f64>, MlError> {
-        Ok(self.forward_cached(x)?.acts.pop().expect("output exists"))
+        let mut bufs = ForwardBuffers::default();
+        self.forward_into(x, &mut bufs)?;
+        Ok(bufs.acts.pop().expect("output exists"))
+    }
+
+    /// Forward pass into caller-owned buffers; returns the output. Once
+    /// `bufs` is sized for this network the pass allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on input-dimension mismatch.
+    pub fn forward_into<'b>(
+        &self,
+        x: &[f64],
+        bufs: &'b mut ForwardBuffers,
+    ) -> Result<&'b [f64], MlError> {
+        if x.len() != self.input_dim() {
+            return Err(MlError::DimensionMismatch {
+                context: "mlp forward",
+                expected: self.input_dim(),
+                actual: x.len(),
+            });
+        }
+        let num_layers = self.layers.len();
+        bufs.acts.resize_with(num_layers, Vec::new);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = bufs.acts.split_at_mut(li);
+            let input = done.last().map_or(x, Vec::as_slice);
+            let out = &mut rest[0];
+            out.resize(layer.out_dim, 0.0);
+            layer.forward_into(input, out);
+            if li + 1 == num_layers {
+                self.output.apply(out);
+            } else {
+                self.hidden.apply(out);
+            }
+        }
+        Ok(bufs.output())
     }
 
     /// Forward pass keeping per-layer activations for backprop.
@@ -253,25 +357,25 @@ impl Mlp {
     ///
     /// Returns an error on input-dimension mismatch.
     pub fn forward_cached(&self, x: &[f64]) -> Result<ForwardCache, MlError> {
-        if x.len() != self.input_dim() {
-            return Err(MlError::DimensionMismatch {
-                context: "mlp forward",
-                expected: self.input_dim(),
-                actual: x.len(),
-            });
-        }
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.to_vec());
-        for (li, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(acts.last().expect("input pushed"));
-            let a = if li + 1 == self.layers.len() {
-                self.output.apply(&z)
-            } else {
-                self.hidden.apply(&z)
-            };
-            acts.push(a);
-        }
-        Ok(ForwardCache { acts })
+        let mut cache = ForwardCache::default();
+        self.forward_cached_into(x, &mut cache)?;
+        Ok(cache)
+    }
+
+    /// [`Mlp::forward_cached`] into a reused cache; returns the output.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on input-dimension mismatch.
+    pub fn forward_cached_into<'c>(
+        &self,
+        x: &[f64],
+        cache: &'c mut ForwardCache,
+    ) -> Result<&'c [f64], MlError> {
+        self.forward_into(x, &mut cache.layers)?;
+        cache.input.clear();
+        cache.input.extend_from_slice(x);
+        Ok(cache.output())
     }
 
     /// Accumulates gradients for one sample.
@@ -293,6 +397,13 @@ impl Mlp {
             });
         }
         let num_layers = self.layers.len();
+        if cache.layers.acts.len() != num_layers {
+            return Err(MlError::DimensionMismatch {
+                context: "mlp backward cache",
+                expected: num_layers,
+                actual: cache.layers.acts.len(),
+            });
+        }
         let mut grad: Vec<f64> = d_output.to_vec();
         for li in (0..num_layers).rev() {
             let activation = if li + 1 == num_layers {
@@ -300,14 +411,18 @@ impl Mlp {
             } else {
                 self.hidden
             };
-            let a = &cache.acts[li + 1];
             // dL/dz = dL/da ⊙ a'(z), with a' expressed via the output.
-            let dz: Vec<f64> = grad
-                .iter()
-                .zip(a)
-                .map(|(&g, &av)| g * activation.derivative_from_output(av))
-                .collect();
-            grad = self.layers[li].backward(&cache.acts[li], &dz);
+            for (g, &av) in grad.iter_mut().zip(&cache.layers.acts[li]) {
+                *g *= activation.derivative_from_output(av);
+            }
+            if li == 0 {
+                // The input gradient has no consumer: skip it.
+                self.layers[0].backward(&cache.input, &grad, None);
+            } else {
+                let mut dx = vec![0.0; self.layers[li].in_dim];
+                self.layers[li].backward(&cache.layers.acts[li - 1], &grad, Some(&mut dx));
+                grad = dx;
+            }
         }
         Ok(())
     }
@@ -370,6 +485,117 @@ mod tests {
         // Large logits must not overflow.
         let p = softmax(&[1000.0, 1000.0]);
         assert!((p[0] - 0.5).abs() < 1e-12);
+    }
+
+    /// The summation the kernel contract promises, written naively.
+    fn naive_forward(layer: &Dense, x: &[f64]) -> Vec<f64> {
+        (0..layer.out_dim)
+            .map(|o| {
+                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
+                row.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + layer.b[o]
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Inputs with exact zeros of both signs, negatives and plain values.
+    fn inputs(dim: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        vec![
+            vec![0.0; dim],
+            vec![-0.0; dim],
+            (0..dim)
+                .map(|i| match i % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => gaussian(rng),
+                })
+                .collect(),
+            (0..dim).map(|_| gaussian(rng)).collect(),
+        ]
+    }
+
+    #[test]
+    fn blocked_kernel_matches_naive_sum_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for in_dim in [1, 24, 29, 64] {
+            for out_dim in [1, 3, 4, 5, 7, 64] {
+                let mut layer = Dense::new(in_dim, out_dim, &mut rng);
+                // Rows of all-positive and all-negative weights make every
+                // product a signed zero on a zero input, and a `-0.0` bias
+                // keeps the sum's sign: a kernel that started its sums from
+                // `+0.0` would flip it. Other rows mix in exact zeros.
+                for (k, w) in layer.w.iter_mut().enumerate() {
+                    *w = match ((k / in_dim) % 4, k % 3) {
+                        (0, _) => w.abs(),
+                        (1, _) => -w.abs(),
+                        (_, 0) => 0.0,
+                        (_, 1) => -0.0,
+                        _ => *w,
+                    };
+                }
+                for (o, b) in layer.b.iter_mut().enumerate() {
+                    *b = [-0.0, -0.0, 0.0, gaussian(&mut rng)][o % 4];
+                }
+                for x in inputs(in_dim, &mut rng) {
+                    let mut z = vec![f64::NAN; out_dim];
+                    layer.forward_into(&x, &mut z);
+                    assert_eq!(
+                        bits(&z),
+                        bits(&naive_forward(&layer, &x)),
+                        "{in_dim}→{out_dim} at {x:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_forward_matches_naive_network_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let nets = [
+            Mlp::new(&[24, 64, 64, 5], Activation::Relu, Activation::Linear, 1).unwrap(),
+            Mlp::new(&[29, 64, 64, 7], Activation::Relu, Activation::Linear, 2).unwrap(),
+            Mlp::new(&[29, 24, 24, 1], Activation::Relu, Activation::Linear, 3).unwrap(),
+            Mlp::new(&[1, 3, 4], Activation::Tanh, Activation::Sigmoid, 4).unwrap(),
+        ];
+        // One set of buffers shared across every shape, so resizing runs.
+        let mut bufs = ForwardBuffers::default();
+        for net in nets.iter().chain(&nets) {
+            for x in inputs(net.input_dim(), &mut rng) {
+                let mut naive = x.clone();
+                for (li, layer) in net.layers.iter().enumerate() {
+                    let act = if li + 1 == net.layers.len() {
+                        net.output
+                    } else {
+                        net.hidden
+                    };
+                    naive = naive_forward(layer, &naive)
+                        .into_iter()
+                        .map(|v| act.scalar(v))
+                        .collect();
+                }
+                let want = bits(&naive);
+                assert_eq!(bits(net.forward_into(&x, &mut bufs).unwrap()), want);
+                assert_eq!(bits(&net.forward(&x).unwrap()), want);
+                assert_eq!(bits(net.forward_cached(&x).unwrap().output()), want);
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_into_matches_softmax() {
+        let mut out = vec![9.0; 7];
+        for z in [
+            vec![1.0, -2.0, 0.5],
+            vec![-0.0, 0.0],
+            vec![700.0, -700.0, 3.0, 3.0],
+        ] {
+            softmax_into(&z, &mut out);
+            assert_eq!(bits(&out), bits(&softmax(&z)));
+        }
     }
 
     #[test]

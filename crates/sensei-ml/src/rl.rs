@@ -9,7 +9,7 @@
 //! policy-gradient maths reaches the same fixed points and keeps the
 //! reproduction deterministic.
 
-use crate::nn::{softmax, Activation, Mlp};
+use crate::nn::{softmax, softmax_into, Activation, ForwardBuffers, ForwardCache, Mlp};
 use crate::MlError;
 use rand::Rng;
 
@@ -60,6 +60,14 @@ pub struct TrainStats {
     pub value_loss: f64,
     /// Mean policy entropy (nats).
     pub entropy: f64,
+}
+
+/// Reusable buffers for allocation-free inference with an [`ActorCritic`]:
+/// the policy network's activations and the action distribution.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
+    net: ForwardBuffers,
+    probs: Vec<f64>,
 }
 
 /// An advantage actor-critic agent: a softmax policy over discrete actions
@@ -142,21 +150,28 @@ impl ActorCritic {
         Ok(softmax(&self.policy.forward(state)?))
     }
 
+    /// Action distribution for a state, into reused buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on state-dimension mismatch.
+    pub fn action_probs_with<'s>(
+        &self,
+        state: &[f64],
+        scratch: &'s mut PolicyScratch,
+    ) -> Result<&'s [f64], MlError> {
+        let logits = self.policy.forward_into(state, &mut scratch.net)?;
+        softmax_into(logits, &mut scratch.probs);
+        Ok(&scratch.probs)
+    }
+
     /// Samples an action from the current policy.
     ///
     /// # Errors
     ///
     /// Returns an error on state-dimension mismatch.
     pub fn sample_action<R: Rng>(&self, state: &[f64], rng: &mut R) -> Result<usize, MlError> {
-        let probs = self.action_probs(state)?;
-        let mut u: f64 = rng.gen_range(0.0..1.0);
-        for (a, &p) in probs.iter().enumerate() {
-            if u < p {
-                return Ok(a);
-            }
-            u -= p;
-        }
-        Ok(self.n_actions - 1)
+        self.sample_action_with(state, None, rng, &mut PolicyScratch::default())
     }
 
     /// Greedy (argmax) action — used at evaluation time.
@@ -165,13 +180,7 @@ impl ActorCritic {
     ///
     /// Returns an error on state-dimension mismatch.
     pub fn best_action(&self, state: &[f64]) -> Result<usize, MlError> {
-        let probs = self.action_probs(state)?;
-        Ok(probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0))
+        self.best_action_with(state, None, &mut PolicyScratch::default())
     }
 
     /// Samples an action restricted to `allowed` (invalid-action masking:
@@ -187,15 +196,7 @@ impl ActorCritic {
         allowed: &[usize],
         rng: &mut R,
     ) -> Result<usize, MlError> {
-        let probs = self.masked_probs(state, allowed)?;
-        let mut u: f64 = rng.gen_range(0.0..1.0);
-        for &(a, p) in &probs {
-            if u < p {
-                return Ok(a);
-            }
-            u -= p;
-        }
-        Ok(probs.last().expect("non-empty mask").0)
+        self.sample_action_with(state, Some(allowed), rng, &mut PolicyScratch::default())
     }
 
     /// Greedy action restricted to `allowed`.
@@ -205,25 +206,89 @@ impl ActorCritic {
     /// Returns an error on state-dimension mismatch or an empty/out-of-range
     /// mask.
     pub fn best_action_masked(&self, state: &[f64], allowed: &[usize]) -> Result<usize, MlError> {
-        let probs = self.masked_probs(state, allowed)?;
-        Ok(probs
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty mask")
-            .0)
+        self.best_action_with(state, Some(allowed), &mut PolicyScratch::default())
     }
 
-    fn masked_probs(&self, state: &[f64], allowed: &[usize]) -> Result<Vec<(usize, f64)>, MlError> {
-        if allowed.is_empty() || allowed.iter().any(|&a| a >= self.n_actions) {
-            return Err(MlError::DimensionMismatch {
-                context: "action mask",
-                expected: self.n_actions,
-                actual: allowed.len(),
-            });
-        }
-        let probs = self.action_probs(state)?;
+    /// [`ActorCritic::sample_action`] (`allowed: None`) or
+    /// [`ActorCritic::sample_action_masked`] into reused buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on state-dimension mismatch or an empty/out-of-range
+    /// mask.
+    pub fn sample_action_with<R: Rng>(
+        &self,
+        state: &[f64],
+        allowed: Option<&[usize]>,
+        rng: &mut R,
+        scratch: &mut PolicyScratch,
+    ) -> Result<usize, MlError> {
+        self.check_mask(allowed)?;
+        let probs = self.action_probs_with(state, scratch)?;
+        let mut u: f64 = rng.gen_range(0.0..1.0);
+        let Some(allowed) = allowed else {
+            for (a, &p) in probs.iter().enumerate() {
+                if u < p {
+                    return Ok(a);
+                }
+                u -= p;
+            }
+            return Ok(self.n_actions - 1);
+        };
         let total: f64 = allowed.iter().map(|&a| probs[a]).sum();
-        Ok(allowed.iter().map(|&a| (a, probs[a] / total)).collect())
+        for &a in allowed {
+            let p = probs[a] / total;
+            if u < p {
+                return Ok(a);
+            }
+            u -= p;
+        }
+        Ok(*allowed.last().expect("non-empty mask"))
+    }
+
+    /// [`ActorCritic::best_action`] (`allowed: None`) or
+    /// [`ActorCritic::best_action_masked`] into reused buffers. Ties go to
+    /// the last of the equal maxima.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on state-dimension mismatch or an empty/out-of-range
+    /// mask.
+    pub fn best_action_with(
+        &self,
+        state: &[f64],
+        allowed: Option<&[usize]>,
+        scratch: &mut PolicyScratch,
+    ) -> Result<usize, MlError> {
+        self.check_mask(allowed)?;
+        let probs = self.action_probs_with(state, scratch)?;
+        let by_prob = |a: &(usize, f64), b: &(usize, f64)| {
+            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let best = match allowed {
+            None => probs.iter().copied().enumerate().max_by(by_prob),
+            Some(allowed) => {
+                let total: f64 = allowed.iter().map(|&a| probs[a]).sum();
+                allowed
+                    .iter()
+                    .map(|&a| (a, probs[a] / total))
+                    .max_by(by_prob)
+            }
+        };
+        Ok(best.map_or(0, |(a, _)| a))
+    }
+
+    fn check_mask(&self, allowed: Option<&[usize]>) -> Result<(), MlError> {
+        match allowed {
+            Some(allowed) if allowed.is_empty() || allowed.iter().any(|&a| a >= self.n_actions) => {
+                Err(MlError::DimensionMismatch {
+                    context: "action mask",
+                    expected: self.n_actions,
+                    actual: allowed.len(),
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Critic's value estimate for a state.
@@ -237,9 +302,9 @@ impl ActorCritic {
 
     /// One policy+value update from a completed episode.
     ///
-    /// Computes discounted returns, advantages against the value baseline,
-    /// and applies the policy gradient with an entropy bonus, then fits the
-    /// critic toward the returns.
+    /// Computes discounted returns, fits the critic toward them while
+    /// taking advantages against its baseline, and applies the policy
+    /// gradient with an entropy bonus.
     ///
     /// # Errors
     ///
@@ -262,14 +327,31 @@ impl ActorCritic {
             acc = tr.reward + self.config.gamma * acc;
             returns[i] = acc;
         }
-        let episode_reward: f64 = episode.iter().map(|t| t.reward).sum();
-
-        // Advantages against the value baseline, normalized within the
-        // episode (standard A2C variance reduction).
-        let mut advantages = Vec::with_capacity(episode.len());
-        for (tr, &ret) in episode.iter().zip(&returns) {
-            advantages.push(ret - self.value.forward(&tr.state)?[0]);
+        // Checked up front so a bad state cannot leave half an episode's
+        // critic gradients accumulated.
+        if let Some(tr) = episode.iter().find(|tr| tr.state.len() != self.state_dim()) {
+            return Err(MlError::DimensionMismatch {
+                context: "mlp forward",
+                expected: self.state_dim(),
+                actual: tr.state.len(),
+            });
         }
+        let episode_reward: f64 = episode.iter().map(|t| t.reward).sum();
+        let scale = 1.0 / episode.len() as f64; // average, not sum, gradients
+
+        // Advantages against the value baseline. The critic's MSE step
+        // toward the return shares that forward pass: its weights move only
+        // at `step`, and its gradients accumulate in transition order.
+        let mut cache = ForwardCache::default();
+        let mut advantages = Vec::with_capacity(episode.len());
+        let mut value_loss = 0.0;
+        for (tr, &ret) in episode.iter().zip(&returns) {
+            let v = self.value.forward_cached_into(&tr.state, &mut cache)?[0];
+            advantages.push(ret - v);
+            value_loss += (v - ret) * (v - ret);
+            self.value.backward(&cache, &[2.0 * (v - ret) * scale])?;
+        }
+        // Normalized within the episode (standard A2C variance reduction).
         let adv_mean = advantages.iter().sum::<f64>() / advantages.len() as f64;
         let adv_var = advantages
             .iter()
@@ -277,23 +359,24 @@ impl ActorCritic {
             .sum::<f64>()
             / advantages.len() as f64;
         let adv_std = adv_var.sqrt().max(1e-6);
-        let scale = 1.0 / episode.len() as f64; // average, not sum, gradients
 
-        let mut value_loss = 0.0;
+        let mut probs = Vec::with_capacity(self.n_actions);
+        let mut dlogits = vec![0.0; self.n_actions];
         let mut entropy_sum = 0.0;
-        for ((tr, &ret), &adv) in episode.iter().zip(&returns).zip(&advantages) {
+        for (tr, &adv) in episode.iter().zip(&advantages) {
             let advantage = (adv - adv_mean) / adv_std;
 
             // Policy gradient on logits: (p − onehot)·A + β·∂(−H)/∂z.
-            let cache = self.policy.forward_cached(&tr.state)?;
-            let probs = softmax(cache.output());
+            softmax_into(
+                self.policy.forward_cached_into(&tr.state, &mut cache)?,
+                &mut probs,
+            );
             let entropy: f64 = -probs
                 .iter()
                 .filter(|&&p| p > 0.0)
                 .map(|&p| p * p.ln())
                 .sum::<f64>();
             entropy_sum += entropy;
-            let mut dlogits = vec![0.0; self.n_actions];
             for (a, dl) in dlogits.iter_mut().enumerate() {
                 let onehot = if a == tr.action { 1.0 } else { 0.0 };
                 let policy_term = (probs[a] - onehot) * advantage;
@@ -302,12 +385,6 @@ impl ActorCritic {
                 *dl = (policy_term + self.config.entropy_coef * entropy_term) * scale;
             }
             self.policy.backward(&cache, &dlogits)?;
-
-            // Critic MSE toward the return.
-            let vcache = self.value.forward_cached(&tr.state)?;
-            let v = vcache.output()[0];
-            value_loss += (v - ret) * (v - ret);
-            self.value.backward(&vcache, &[2.0 * (v - ret) * scale])?;
         }
         // One Adam step per episode (gradients were accumulated).
         self.policy.step(self.config.lr_policy);
