@@ -37,7 +37,7 @@
 // are exact.
 #![allow(clippy::cast_precision_loss)]
 
-use sensei_bench::header;
+use sensei_bench::header_in_mode;
 use sensei_core::experiment::{Experiment, ExperimentConfig, PolicyKind};
 use sensei_fleet::json::{obj, parse, Json};
 use sensei_fleet::{
@@ -202,12 +202,17 @@ fn prior_trajectory(path: &str) -> Vec<Json> {
 }
 
 fn main() {
-    header(
+    let quick = quick_mode();
+    header_in_mode(
         "Fleet",
         "sharded fleet-simulation throughput (sessions/sec)",
         "n/a — beyond the paper: the ROADMAP's million-session scale axis",
+        if quick {
+            "quick (smoke-sized matrices; unset SENSEI_FLEET_QUICK for the full runs)"
+        } else {
+            "full (SENSEI_FLEET_QUICK=1 for smoke-sized matrices)"
+        },
     );
-    let quick = quick_mode();
     let t0 = std::time::Instant::now();
     let env = Experiment::build(&ExperimentConfig::quick(2021)).expect("environment builds");
     println!(

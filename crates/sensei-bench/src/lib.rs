@@ -29,19 +29,23 @@ pub const QUICK_VIDEOS: [&str; 8] = [
     "BigBuckBunny",
 ];
 
-/// Prints the standard bench header.
+/// Prints the standard figure-bench header, whose mode is
+/// `SENSEI_BENCH_FULL`'s.
 pub fn header(id: &str, title: &str, paper_claim: &str) {
+    let mode = if full_mode() {
+        "full (16 videos)"
+    } else {
+        "quick (8 videos; SENSEI_BENCH_FULL=1 for all 16)"
+    };
+    header_in_mode(id, title, paper_claim, mode);
+}
+
+/// Prints the standard bench header for a bench with its own `mode`.
+pub fn header_in_mode(id: &str, title: &str, paper_claim: &str, mode: &str) {
     println!("================================================================");
     println!("{id}: {title}");
     println!("  paper:    {paper_claim}");
-    println!(
-        "  mode:     {}",
-        if full_mode() {
-            "full (16 videos)"
-        } else {
-            "quick (8 videos; SENSEI_BENCH_FULL=1 for all 16)"
-        }
-    );
+    println!("  mode:     {mode}");
     println!("================================================================");
 }
 

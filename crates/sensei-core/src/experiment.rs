@@ -845,9 +845,11 @@ mod tests {
             .run_grid(&[PolicyKind::Bba, PolicyKind::Fugu, PolicyKind::SenseiFugu])
             .unwrap();
         assert_eq!(results.len(), 3 * 10 * 3);
-        // Robust ordering claims (see EXPERIMENTS.md note 2): weights must
-        // not hurt the carrying controller, and SENSEI must win on the
-        // stable constrained traces where planning pays off.
+        // Robust ordering claims: weights must not hurt the carrying
+        // controller, and SENSEI must win on the stable constrained traces
+        // where planning pays off. Near-outage traces are left out of the
+        // second claim: there every MPC controller concedes to BBA (the
+        // root `tests/end_to_end.rs` headline test spells this out).
         let sensei = mean_qoe(&results, "SENSEI");
         let fugu = mean_qoe(&results, "Fugu");
         assert!(

@@ -74,9 +74,11 @@ fn crowdsourced_weights_approximate_ground_truth_at_corpus_scale() {
 fn experiment_grid_reproduces_the_headline_ordering() {
     // The robust claims: (1) sensitivity weights never hurt the controller
     // that carries them (SENSEI >= Fugu overall), and (2) SENSEI beats BBA
-    // where bandwidth is constrained but usable (the paper's sweet spot;
-    // on near-outage traces every MPC controller concedes to BBA's
-    // reservoir conservatism — see EXPERIMENTS.md).
+    // where bandwidth is constrained but usable (the paper's sweet spot).
+    // On near-outage traces, whose throughput sits near or below the
+    // 300 kbps bottom rung, every MPC controller concedes to BBA, whose
+    // reservoir keeps it on the bottom rung until the buffer recovers; so
+    // claim (2) is checked only on the stable FCC-like traces below.
     let env = Experiment::build(&ExperimentConfig::quick(2021)).unwrap();
     let results = env
         .run_grid(&[PolicyKind::Bba, PolicyKind::Fugu, PolicyKind::SenseiFugu])
@@ -84,7 +86,8 @@ fn experiment_grid_reproduces_the_headline_ordering() {
     let sensei = mean_qoe(&results, "SENSEI");
     let fugu = mean_qoe(&results, "Fugu");
     // Overall means may flip by a few percent on seeds whose trace set is
-    // dominated by near-outage cellular traces (see EXPERIMENTS.md).
+    // dominated by near-outage cellular traces (the concession above),
+    // hence the 0.9 factor rather than a strict `>=`.
     assert!(sensei >= fugu * 0.9, "SENSEI {sensei:.3} vs Fugu {fugu:.3}");
     // Stable constrained traces (FCC-like): the regime where lookahead
     // planning plus sensitivity weights pay off most reliably.
