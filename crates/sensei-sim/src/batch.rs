@@ -29,7 +29,9 @@
 //! piecewise walk touches only a handful of buckets, and the `O(log n)`
 //! index rounds differently — the batch reserves cumulative indexing for
 //! the MPC planners (where repeated integration dominates and the planner
-//! owns the index on both paths).
+//! owns the index on both paths). The walk divides only to find its
+//! first bucket and then steps the bucket index, so no division sits on
+//! its loop-carried chain.
 
 use crate::policy::{AbrPolicy, Decision, PlayerState, SessionContext};
 use crate::session::{Playback, PlayerConfig, SessionResult, EPS};
@@ -384,7 +386,13 @@ pub fn simulate_batch_in(
         }
 
         // Phase 3 — transfer: validate the decision, resolve the download
-        // over the shared trace, and advance playback, lane by lane.
+        // over the shared trace, and advance playback, lane by lane. Every
+        // lane downloads chunk `k`, so its size row is fetched once; rows
+        // hold one size per ladder level, so the level check below bounds
+        // each lane's index into it.
+        let sizes = encoded
+            .chunk_sizes(k)
+            .expect("chunk count validated on entry");
         for i in 0..lanes {
             let decision = batch.decisions[i];
             if decision.level >= ladder.len() {
@@ -405,9 +413,7 @@ pub fn simulate_batch_in(
             if decision.pause_s > EPS {
                 batch.pending_pause[i] += decision.pause_s;
             }
-            let size = encoded
-                .size_bits(k, decision.level)
-                .map_err(|e| at_lane(e.into(), i))?;
+            let size = sizes[decision.level];
             let t = batch.elapsed[i];
             let rtt = batch.configs[i].rtt_s;
             let transfer = trace.download_time(t + rtt, size);

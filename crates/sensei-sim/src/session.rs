@@ -137,7 +137,9 @@ impl Playback<'_> {
             if self.finished() {
                 break;
             }
-            if self.at_boundary() && self.pending_pause > EPS {
+            // Pause first: a non-pausing lane then skips the boundary
+            // test's division and rounding (both tests are pure).
+            if self.pending_pause > EPS && self.at_boundary() {
                 let k = self.boundary_chunk().min(self.stalls.len() - 1);
                 let s = self.pending_pause.min(dt);
                 self.stalls[k].1 += s;

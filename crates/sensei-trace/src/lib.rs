@@ -224,8 +224,24 @@ impl ThroughputTrace {
     /// around the trace end.
     ///
     /// Zero-throughput intervals (outages) simply consume wall-clock time.
-    /// Because construction rejects all-zero traces, each full pass transfers
-    /// a positive number of bits, so this always terminates.
+    ///
+    /// Only the first bucket is found by dividing the start time by the
+    /// interval; after that the walk steps the bucket index by one and
+    /// wraps to bucket 0 at the trace end, so each iteration moves on to
+    /// the next bucket.
+    /// (Recomputing the index as `⌊bucket_end / Δ⌋` instead can round
+    /// back to the bucket just left when `Δ` is not a power of two, e.g.
+    /// `⌊fl(43·0.1) / 0.1⌋ = 42`, and then spins on a zero-width window
+    /// forever.) Construction rejects all-zero traces, so every full pass
+    /// transfers a positive number of bits, and the walk ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bits` is negative or not finite, and when a full pass
+    /// over the trace leaves the remaining bit count unchanged — inputs
+    /// that would otherwise loop forever: a pass's capacity below half an
+    /// ulp of `bits` (no chunk-sized transfer comes near), or a `start_s`
+    /// of `+∞`, which has no position on the trace.
     pub fn download_time(&self, start_s: f64, bits: f64) -> f64 {
         assert!(
             bits.is_finite() && bits >= 0.0,
@@ -234,12 +250,19 @@ impl ThroughputTrace {
         if bits == 0.0 {
             return 0.0;
         }
+        let len = self.kbps.len();
+        let mut t = start_s.max(0.0);
         let duration = self.duration_s();
+        if t >= duration {
+            t %= duration;
+        }
+        let mut idx = ((t / self.interval_s) as usize).min(len - 1);
         let mut remaining = bits;
-        let mut t = start_s.max(0.0) % duration;
         let mut elapsed = 0.0;
+        // Bits left when the walk last wrapped; infinite until the first
+        // wrap, because the opening partial pass may cover only outages.
+        let mut at_last_wrap = f64::INFINITY;
         loop {
-            let idx = ((t / self.interval_s) as usize).min(self.kbps.len() - 1);
             let bucket_end = (idx as f64 + 1.0) * self.interval_s;
             let window = bucket_end - t;
             let rate_bps = self.kbps[idx] * 1000.0;
@@ -249,9 +272,19 @@ impl ThroughputTrace {
             }
             remaining -= capacity;
             elapsed += window;
-            t = bucket_end;
-            if t >= duration {
+            idx += 1;
+            if idx == len {
+                assert!(
+                    remaining < at_last_wrap,
+                    "downloading {bits} bits from {start_s} s made no progress \
+                     over a full pass of trace {}",
+                    self.name
+                );
+                at_last_wrap = remaining;
+                idx = 0;
                 t = 0.0;
+            } else {
+                t = bucket_end;
             }
         }
     }
@@ -560,6 +593,175 @@ mod tests {
     fn download_time_zero_bits_is_free() {
         let t = trace(&[500.0]);
         assert_eq!(t.download_time(3.0, 0.0), 0.0);
+    }
+
+    /// The bucket walk `download_time` replaced, which recomputed every
+    /// bucket's index as `⌊t / Δ⌋`. Kept as the bit-exactness reference.
+    /// Off power-of-two intervals `fl(fl(k·Δ) / Δ)` can truncate to
+    /// `k - 1`; the walk then re-enters the bucket it just left with a
+    /// zero-width window and repeats that state forever. It returns
+    /// `None` at that point instead of spinning.
+    fn division_walk(trace: &ThroughputTrace, start_s: f64, bits: f64) -> Option<f64> {
+        if bits == 0.0 {
+            return Some(0.0);
+        }
+        let duration = trace.duration_s();
+        let mut remaining = bits;
+        let mut t = start_s.max(0.0) % duration;
+        let mut elapsed = 0.0;
+        loop {
+            let idx = ((t / trace.interval_s) as usize).min(trace.kbps.len() - 1);
+            let bucket_end = (idx as f64 + 1.0) * trace.interval_s;
+            let window = bucket_end - t;
+            if window == 0.0 {
+                return None;
+            }
+            let rate_bps = trace.kbps[idx] * 1000.0;
+            let capacity = rate_bps * window;
+            if capacity >= remaining && rate_bps > 0.0 {
+                return Some(elapsed + remaining / rate_bps);
+            }
+            remaining -= capacity;
+            elapsed += window;
+            t = bucket_end;
+            if t >= duration {
+                t = 0.0;
+            }
+        }
+    }
+
+    #[test]
+    fn index_stepped_walk_matches_the_division_walk_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut bases = vec![
+            ThroughputTrace::constant("c", 1500.0, 60.0).unwrap(),
+            trace(&[0.0, 1000.0, 0.0, 500.0]),
+        ];
+        for (seed, family) in generate::TraceFamily::all().iter().enumerate() {
+            bases.extend(generate::generate_family(family, 2, 90, seed as u64));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let (mut compared, mut spins) = (0usize, 0usize);
+        // Power-of-two intervals, where the division walk always
+        // returns, then 0.1 s and 0.3 s, where it is compared wherever
+        // it returns.
+        let intervals = [
+            (1.0, true),
+            (0.5, true),
+            (0.25, true),
+            (2.0, true),
+            (0.1, false),
+            (0.3, false),
+        ];
+        for (interval, dyadic) in intervals {
+            for base in &bases {
+                let t =
+                    ThroughputTrace::new(base.name(), interval, base.samples().to_vec()).unwrap();
+                let duration = t.duration_s();
+                let per_pass: f64 = t.samples().iter().map(|&k| k * 1000.0 * interval).sum();
+                let len = t.samples().len();
+                let mut starts = vec![
+                    -3.0,
+                    -0.0,
+                    0.0,
+                    interval,
+                    3.0 * interval,
+                    43.0 * interval,
+                    (len - 1) as f64 * interval,
+                    duration - 1e-12,
+                    duration,
+                    4.0 * duration,
+                    4.0 * duration + 7.0 * interval,
+                    2.5 * duration + 0.3,
+                ];
+                starts.extend((0..40).map(|_| rng.gen_range(-1.0..6.0 * duration)));
+                let mut sizes = vec![
+                    0.0,
+                    1.0,
+                    1e3,
+                    1e5,
+                    4e6,
+                    per_pass,
+                    2.5 * per_pass,
+                    3.7 * per_pass + 1.0,
+                ];
+                sizes.extend((0..12).map(|_| rng.gen_range(0.0..2e7)));
+                for &start in &starts {
+                    for &bits in &sizes {
+                        let fast = t.download_time(start, bits);
+                        let at = format!("{} at Δ {interval}: start {start} bits {bits}", t.name());
+                        match division_walk(&t, start, bits) {
+                            Some(reference) => {
+                                assert_eq!(
+                                    fast.to_bits(),
+                                    reference.to_bits(),
+                                    "{at}: {fast} vs {reference}"
+                                );
+                                compared += 1;
+                            }
+                            None => {
+                                assert!(!dyadic, "{at}: the division walk spun");
+                                assert!(fast.is_finite() && fast >= 0.0, "{at}: {fast}");
+                                spins += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 50_000, "{compared} comparisons");
+        assert!(spins > 0, "no start or size reached a spinning bucket end");
+    }
+
+    #[test]
+    fn download_time_terminates_off_power_of_two_intervals() {
+        // fl(fl(43 · 0.1) / 0.1) truncates to 42: a walk that recomputes
+        // the bucket index from the bucket end re-enters bucket 42 with a
+        // zero-width window and never returns.
+        let t = ThroughputTrace::new("dec", 0.1, vec![1000.0; 100]).unwrap();
+        // 100 kb at a constant 1 Mbps takes 0.1 s from any start.
+        for start in [4.25, 43.0 * 0.1] {
+            let dt = t.download_time(start, 100_000.0);
+            assert!((dt - 0.1).abs() < 1e-9, "start {start}: dt = {dt}");
+        }
+        // Several passes over the 10 s trace: 25 Mb takes 25 s.
+        let dt = t.download_time(43.0 * 0.1, 25_000_000.0);
+        assert!((dt - 25.0).abs() < 1e-9, "dt = {dt}");
+        // Every bucket boundary of 0.1 s and 0.3 s traces with an outage
+        // in every other bucket: the closed form is the wait for the next
+        // live bucket, then 2.5 live buckets' worth of bits at 2 Mbps
+        // with an outage after each whole one.
+        for interval in [0.1, 0.3] {
+            let samples: Vec<f64> = (0..60)
+                .map(|i| if i % 2 == 0 { 0.0 } else { 2000.0 })
+                .collect();
+            let t = ThroughputTrace::new("gap", interval, samples).unwrap();
+            let bucket_bits = 2_000_000.0 * interval;
+            for k in 0..60 {
+                let start = k as f64 * interval;
+                let wait = if k % 2 == 0 { interval } else { 0.0 };
+                let dt = t.download_time(start, 2.5 * bucket_bits);
+                let expected = wait + 4.5 * interval;
+                assert!(
+                    (dt - expected).abs() < 1e-9,
+                    "Δ {interval} start bucket {k}: dt = {dt}, expected {expected}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "made no progress")]
+    fn download_time_rejects_a_size_no_pass_can_dent() {
+        // One pass moves 1 Mb, far below half an ulp of 1e300 bits, so a
+        // walk without the pass check would loop forever.
+        trace(&[1000.0]).download_time(0.0, 1e300);
+    }
+
+    #[test]
+    #[should_panic(expected = "made no progress")]
+    fn download_time_rejects_an_infinite_start() {
+        trace(&[1000.0]).download_time(f64::INFINITY, 1e3);
     }
 
     #[test]
